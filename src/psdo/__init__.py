@@ -18,7 +18,6 @@ from .grid import (
 )
 from .quantizer import (
     MatrixParam,
-    QuantizationResult,
     as_matrix_param,
     symbol_transfer,
     quantize,

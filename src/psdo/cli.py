@@ -22,7 +22,7 @@ from .calculus import sharp
 from .errors import PsdoError, ValidationError
 from .grid import GridSpec, Signal, Symbol
 from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm
-from .quantizer import QuantizationResult, as_matrix_param, kernel_route, quantize, symbol_transfer
+from .quantizer import as_matrix_param, kernel_route, quantize, symbol_transfer
 from .schatten import schatten_norm
 from .schemes import SchemeSpec, quantize_scheme
 from .validation import validate
@@ -111,11 +111,10 @@ def _cmd_quantize(args):
         raise ValidationError(f"route must be 'multiplier' or 'kernel', got {route!r}")
     A = _matrix_param(params, grid)
     build = quantize if route == "multiplier" else kernel_route
-    result = QuantizationResult(matrix=build(a, A), param=A, route=route)
-    K = result.matrix
+    K = build(a, A)
     write_array(out, K.data, grid)
     defect = float(np.abs(K.data - K.data.conj().T).max())
-    _echo({"frobenius_norm": K.norm(), "hermiticity_defect": defect, "route": result.route})
+    _echo({"frobenius_norm": K.norm(), "hermiticity_defect": defect, "route": route})
     return 0
 
 

@@ -243,18 +243,6 @@ def partial_dft(F: Symbol, block: int, direction: str = "fwd") -> Symbol:
     return Symbol(F.grid, out)
 
 
-def _frac_shift_core(data, grid, s):
-    n = grid.n
-    s = np.broadcast_to(np.asarray(s, dtype=float), (grid.d,))
-    fhat = np.fft.fftn(data.reshape(grid.shape))
-    for axis in range(grid.d):
-        shape = [1] * grid.d
-        shape[axis] = n
-        phase = np.exp(-2j * np.pi * rep_axis(n) * s[axis] / n).reshape(shape)
-        fhat = fhat * phase
-    return np.fft.ifftn(fhat).ravel()
-
-
 def frac_shift(f: Signal, s) -> Signal:
     """Translate by a real vector s via trigonometric interpolation.
 
@@ -262,7 +250,16 @@ def frac_shift(f: Signal, s) -> Signal:
     integer s this is the exact cyclic shift. n-periodic in each component
     of s.
     """
-    return Signal(f.grid, _frac_shift_core(f.data, f.grid, s))
+    grid = f.grid
+    n = grid.n
+    s = np.broadcast_to(np.asarray(s, dtype=float), (grid.d,))
+    fhat = np.fft.fftn(f.data.reshape(grid.shape))
+    for axis in range(grid.d):
+        shape = [1] * grid.d
+        shape[axis] = n
+        phase = np.exp(-2j * np.pi * rep_axis(n) * s[axis] / n).reshape(shape)
+        fhat = fhat * phase
+    return Signal(grid, np.fft.ifftn(fhat).ravel())
 
 
 def gaussian_window(grid: GridSpec) -> Signal:

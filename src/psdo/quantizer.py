@@ -11,10 +11,11 @@ unitary symbol automorphism:
   ("mod" mode).
 
 Op_A(a) is defined as Op_0(T_A a).  The independent kernel formula
-K[j, j'] = n^{-d/2} (F2^{-1} a)(j - A(j-j'), j-j') reproduces it exactly:
-for integer A the first argument is reduced mod n, for real A it is
-evaluated by trigonometric interpolation with the displacement taken at
-the centered representative of j-j'.
+K[j, j'] = n^{-d/2} (F2^{-1} a)(j - A u, u), u = j - j', reproduces it
+exactly.  Its first argument is evaluated for every real A by one
+trigonometric interpolation along the position block, with the
+displacement A u taken at the centered representative of u; for integer
+A this is the exact cyclic shift.
 """
 
 from __future__ import annotations
@@ -32,14 +33,11 @@ from .grid import (
     index_coords,
     rep_coords,
     rel_index,
-    flatten_coords,
     _partial_dft_core,
-    _frac_shift_core,
 )
 
 __all__ = [
     "MatrixParam",
-    "QuantizationResult",
     "as_matrix_param",
     "symbol_transfer",
     "quantize",
@@ -92,15 +90,6 @@ class MatrixParam:
 
     def __sub__(self, other):
         return MatrixParam(self.entries - np.asarray(other.entries))
-
-
-@dataclass(frozen=True)
-class QuantizationResult:
-    """Operator matrix together with the parameter and route that built it."""
-
-    matrix: OperatorMatrix
-    param: MatrixParam
-    route: str  # "multiplier" | "kernel"
 
 
 def as_matrix_param(A, d: int) -> MatrixParam:
@@ -178,28 +167,22 @@ def quantize(a: Symbol, A) -> OperatorMatrix:
 
 def kernel_route(a: Symbol, A) -> OperatorMatrix:
     """Op_A(a) through the kernel formula; independent cross-check of
-    :func:`quantize`, with which it agrees to fp roundoff."""
+    :func:`quantize`, with which it agrees to fp roundoff.
+
+    Column u of G = n^{-d/2} F2^{-1} a is translated by A rep(u) through
+    trigonometric interpolation over the position block (DFT, phase
+    e^{-2i pi <rep k, A rep u>/n}, inverse DFT), exact for integer A, and
+    scattered to K[j, j - u].
+    """
     grid = a.grid
     A = as_matrix_param(A, grid.d)
     _require_mode(grid, A)
-    n, N = grid.n, grid.size
-    G = _partial_dft_core(a.data, grid, 2, inverse=True) / np.sqrt(N)
-    coords = index_coords(grid)
-    rel = rel_index(grid)
-    K = np.empty((N, N), dtype=np.complex128)
-    if A.integer_flag:
-        Aint = np.round(A.entries).astype(np.int64)
-        # source position j - A u for every (j, u), all integer mod n
-        shift = coords @ Aint.T
-        src = flatten_coords(grid, coords[:, None, :] - shift[None, :, :])
-        vals = G[src, np.arange(N)[None, :]]
-        np.put_along_axis(K, rel, vals, axis=1)
-    else:
-        reps = rep_coords(grid)
-        cols = np.empty((N, N), dtype=np.complex128)
-        for u in range(N):
-            cols[:, u] = _frac_shift_core(G[:, u], grid, A.entries @ reps[u])
-        np.put_along_axis(K, rel, cols, axis=1)
+    G = _partial_dft_core(a.data, grid, 2, inverse=True) / np.sqrt(grid.size)
+    reps = rep_coords(grid).astype(float)
+    phase = np.exp(-2j * np.pi * np.einsum("ki,ij,uj->ku", reps, A.entries, reps) / grid.n)
+    cols = _partial_dft_core(_partial_dft_core(G, grid, 1) * phase, grid, 1, inverse=True)
+    K = np.empty_like(cols)
+    np.put_along_axis(K, rel_index(grid), cols, axis=1)
     return OperatorMatrix(grid, K)
 
 

@@ -189,16 +189,6 @@ def quantize_scheme(a: Symbol, spec: SchemeSpec) -> OperatorMatrix:
 # special functions
 
 
-def _psi_coefficients(d: int, terms: int):
-    """c_m with psi_d(rho) = sum_m c_m (rho/2)^{2m}: c_0 = 2^{-(d-2)/2},
-    c_{m+1} = c_m / ((m+1)(m + d/2))."""
-    nu = (d - 2) / 2.0
-    c = [2.0**-nu]
-    for m in range(terms - 1):
-        c.append(c[-1] / ((m + 1) * (m + d / 2.0)))
-    return np.array(c)
-
-
 def _psi_series(d: int, rho: float, signed: bool) -> float:
     half = rho / 2.0
     total = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModeMismatch, SizeLimit, ZeroWindow
 from .grid import (
@@ -21,6 +22,7 @@ from .grid import (
     index_coords,
     rel_index,
     flatten_coords,
+    doubled,
     _partial_dft_core,
 )
 from .quantizer import MatrixParam, as_matrix_param, dequantize, symbol_transfer, _require_mode
@@ -87,11 +89,18 @@ def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
     """
     _check_window(phi)
     grid = f.grid
-    # M[j, y] = f(y) conj(phi(y - j)); rel[y, j] = flat(y - j)
-    shifted = phi.data[rel_index(grid).T]
-    M = f.data[None, :] * np.conj(shifted)
-    V = _partial_dft_core(M, grid, 2, inverse=False)
-    return TimeFrequencyArray(grid, V, kind="stft")
+    n, d = grid.n, grid.d
+    # M[j, y] = f(y) conj(phi(y - j)): the windows of the 2-periodic tiling
+    # of conj(phi) starting at n - j, so no (N, N) index array is built
+    tiled = np.tile(np.conj(phi.data).reshape(grid.shape), (2,) * d)
+    windows = sliding_window_view(tiled, grid.shape)[(slice(n, 0, -1),) * d]
+    V = np.multiply(f.data.reshape(grid.shape), windows, order="C")
+    # one axis at a time, rebinding V, so that at most two arrays of this
+    # size are alive (a multi-axis fftn keeps its input alive throughout)
+    for axis in range(2 * d - 1, d - 1, -1):
+        V = np.fft.fftn(V, axes=(axis,))
+    V /= np.sqrt(grid.size)
+    return TimeFrequencyArray(grid, V.reshape(grid.size, grid.size), kind="stft")
 
 
 def wigner(f1: Signal, f2: Signal, A) -> TimeFrequencyArray:
@@ -149,7 +158,8 @@ def weyl_wigner_stft_relation_check(f: Signal, phi: Signal) -> float:
 
 
 def phase_space_stft(F: np.ndarray, Phi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """STFT over the doubled grid Z_n^{2d} of an (N, N) array.
+    """:func:`stft` on the doubled grid Z_n^{2d} of an (N, N) array,
+    reshaped to (N, N, N, N).
 
     Output axes (x, xi, eta, y): (x, xi) is the translation, (eta, y)
     the frequency; normalization n^{-d} (unitary on Z_n^{2d}).
@@ -157,22 +167,9 @@ def phase_space_stft(F: np.ndarray, Phi: np.ndarray, grid: GridSpec) -> np.ndarr
     N = grid.size
     if N**4 > FOURD_LIMIT:
         raise SizeLimit(f"dense 4d array would have {N**4} entries (cap {FOURD_LIMIT})")
-    if not np.any(Phi):
-        raise ZeroWindow("window is identically zero")
-    shape2 = grid.shape * 2
-    out = np.empty((N, N, N, N), dtype=np.complex128)
-    Phis = Phi.reshape(shape2)
-    Fs = F.reshape(shape2)
-    axes1 = tuple(range(grid.d))
-    axes2 = tuple(range(grid.d, 2 * grid.d))
-    coords = index_coords(grid)
-    for x in range(N):
-        rolled_x = np.roll(Phis, tuple(coords[x]), axis=axes1)
-        for xi in range(N):
-            win = np.roll(rolled_x, tuple(coords[xi]), axis=axes2)
-            prod = Fs * np.conj(win)
-            out[x, xi] = (np.fft.fftn(prod) / N).reshape(N, N)
-    return out
+    D = doubled(grid)
+    V = stft(Signal(D, F.ravel()), Signal(D, Phi.ravel())).data
+    return V.reshape((N,) * 4)
 
 
 def stft_of_wigner(f: Signal, g: Signal, phi: Signal, psi: Signal, A) -> FourDArray:

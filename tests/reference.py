@@ -1,8 +1,8 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here evaluates defining sums by explicit index loops; none of
-it shares FFT code paths with the library.  Sizes are kept tiny (n <= 9,
-d = 1), so O(n^4) loops are fine.
+it shares FFT code paths with the library.  Sizes are kept tiny (n <= 9
+at d = 1, n = 3 at d = 2), so O(n^4) loops are fine.
 """
 
 import numpy as np
@@ -61,14 +61,35 @@ def naive_transfer(a, A, mode):
     return out / n
 
 
-def naive_stft(f, phi):
-    n = len(f)
-    V = np.zeros((n, n), complex)
-    for j in range(n):
-        for k in range(n):
-            for y in range(n):
-                V[j, k] += f[y] * np.conj(phi[(y - j) % n]) * np.exp(-2j * np.pi * y * k / n)
-    return V / np.sqrt(n)
+def coords(flat, n, d):
+    """Per-axis indices of a row-major flat index on Z_n^d."""
+    return [(flat // n ** (d - 1 - i)) % n for i in range(d)]
+
+
+def flat(c, n):
+    """Row-major flat index of per-axis indices, each reduced mod n."""
+    out = 0
+    for ci in c:
+        out = out * n + ci % n
+    return out
+
+
+def naive_stft(f, phi, d=1):
+    """V(j, k) = n^{-d/2} sum_y f(y) conj(phi(y - j)) e^{-2i pi <y, k>/n}
+    over flat indices of Z_n^d."""
+    N = len(f)
+    n = round(N ** (1 / d))
+    V = np.zeros((N, N), complex)
+    for j in range(N):
+        cj = coords(j, n, d)
+        for k in range(N):
+            ck = coords(k, n, d)
+            for y in range(N):
+                cy = coords(y, n, d)
+                shifted = flat([cy[i] - cj[i] for i in range(d)], n)
+                dot = sum(cy[i] * ck[i] for i in range(d))
+                V[j, k] += f[y] * np.conj(phi[shifted]) * np.exp(-2j * np.pi * dot / n)
+    return V / np.sqrt(N)
 
 
 def naive_wigner_mod(f1, f2, A):

@@ -118,11 +118,13 @@ def test_kernel_route_equals_quantize_real(rng):
 
 
 def test_kernel_route_2d_matrix_param(rng):
-    g = GridSpec(2, 5, "mod")
-    A = np.array([[1, 2], [0, 1]])
-    a = Symbol.random(g, rng)
-    dev = np.abs(kernel_route(a, A).data - quantize(a, A).data).max()
-    assert dev <= 1e-12 * a.norm()
+    for mode, A in (("mod", [[1, 2], [0, 1]]),
+                    ("real", [[1, 2], [0, 1]]),
+                    ("real", [[0.3, -0.7], [0.25, 0.5]])):
+        g = GridSpec(2, 5, mode)
+        a = Symbol.random(g, rng)
+        dev = np.abs(kernel_route(a, A).data - quantize(a, A).data).max()
+        assert dev <= 1e-12 * a.norm(), (mode, A)
 
 
 def test_kernel_route_constant_symbol(grid9):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,11 @@ def test_stft_delta_pair():
 
 
 def test_stft_matches_naive(rng):
-    g = GridSpec(1, 7)
-    f, phi = Signal.random(g, rng), Signal.random(g, rng)
-    np.testing.assert_allclose(stft(f, phi).data, naive_stft(f.data, phi.data), atol=1e-12)
+    for d, n in ((1, 7), (2, 3)):
+        g = GridSpec(d, n)
+        f, phi = Signal.random(g, rng), Signal.random(g, rng)
+        np.testing.assert_allclose(stft(f, phi).data, naive_stft(f.data, phi.data, d),
+                                   atol=1e-12)
 
 
 def test_stft_moyal(rng, grid9):
@@ -155,6 +159,23 @@ def test_phase_space_stft_matches_naive(rng):
     Phi = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     np.testing.assert_allclose(phase_space_stft(F, Phi, g), naive_phase_space_stft(F, Phi),
                                atol=1e-13)
+
+
+def test_phase_space_stft_memory(rng):
+    # transient memory stays within a small multiple of the returned array;
+    # an (N^2, N^2) index gather would need about four times its size
+    for d, n in ((1, 21), (2, 5)):
+        g = GridSpec(d, n)
+        N = g.size
+        F = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        Phi = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        tracemalloc.start()
+        try:
+            V = phase_space_stft(F, Phi, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * V.nbytes, (d, n, peak / V.nbytes)
 
 
 def test_stft_of_wigner_exhaustive_n3(rng):
