@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -207,8 +206,7 @@ def _cmd_transfer(args):
 
 
 def _cmd_verify(args):
-    threads = int(os.environ.get("PSDO_THREADS", "1"))
-    report = run_suite(args.suite, args.n, args.d, args.seed, threads=threads)
+    report = run_suite(args.suite, args.n, args.d, args.seed)
     if args.format == "json":
         sys.stdout.write(report_to_json(report).decode("utf-8"))
     else:

@@ -54,6 +54,10 @@ class GridSpec:
     mode: str = "real"
 
     def __post_init__(self):
+        for name, v in (("d", self.d), ("n", self.n)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidParams(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.d < 1:
             raise InvalidParams(f"dimension must be >= 1, got {self.d}")
         if self.n < 1 or self.n % 2 == 0:

@@ -69,6 +69,12 @@ TF_AXES = ("pos", "freq")                     # time-frequency plane (x, xi)
 SYMBOL_AXES = ("pos", "freq", "freq", "pos")  # symbol phase space (x, xi, eta, y)
 KERNEL_AXES = ("pos", "pos", "freq", "freq")  # kernel phase space (x, y, xi, eta)
 
+# The weight-condition estimators take the worst constant over every tuple
+# of phase-space points when there are at most PAIR_LIMIT tuples, and over
+# PAIR_SAMPLES fixed-seed random tuples otherwise.
+PAIR_LIMIT = 10**6
+PAIR_SAMPLES = 10**5
+
 
 # ---------------------------------------------------------------------------
 # exponents
@@ -270,30 +276,24 @@ def _flat_domain_points(grid: GridSpec, axes) -> np.ndarray:
 # moderateness
 
 
-def moderate_check(omega: Weight, v: Weight, grid: GridSpec,
-                   pair_limit: int = 10**6, sample_pairs: int = 10**5, seed: int = 0):
+def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
     """Worst constant in omega(X+Y) <= C omega(X) v(Y) over grid pairs.
 
-    Exhaustive when the pair count is at most `pair_limit`, otherwise a
-    fixed-seed random sample.  Returns (finite, C_est).
+    Exhaustive (one row of pairs at a time) when the pair count is at most
+    PAIR_LIMIT, otherwise PAIR_SAMPLES fixed-seed random pairs.  Returns
+    (finite, C_est).
     """
-    if omega.axes != v.axes:
-        raise DomainMismatch(f"weight domains differ: {omega.axes} vs {v.axes}")
+    _require_axes(omega.axes, v)
+    if grid.size ** (2 * len(omega.axes)) > PAIR_LIMIT:
+        X, Y = _tuple_points(grid, omega.axes, 2)
+        return _worst(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y)))
     X = _flat_domain_points(grid, omega.axes)
-    count = X.shape[0]
-    if count * count <= pair_limit:
-        wX = omega.evaluate(X)
-        vX = v.evaluate(X)
-        best = 0.0
-        for i in range(count):
-            q = omega.evaluate(X[i] + X) / (wX[i] * vX)
-            best = max(best, float(q.max()))
-    else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, count, size=sample_pairs)
-        j = rng.integers(0, count, size=sample_pairs)
-        q = omega.evaluate(X[i] + X[j]) / (omega.evaluate(X[i]) * v.evaluate(X[j]))
-        best = float(q.max())
+    wX = omega.evaluate(X)
+    vX = v.evaluate(X)
+    best = 0.0
+    for i in range(X.shape[0]):
+        q = omega.evaluate(X[i] + X) / (wX[i] * vX)
+        best = max(best, float(q.max()))
     return bool(np.isfinite(best)), best
 
 
@@ -310,12 +310,9 @@ def lp_norm(values: np.ndarray, p: float, axis=None):
 
 def mixed_norm(F, params: MixedNormParams, omega: Weight = None) -> float:
     """Weighted l^{p,q}: inner p over position, outer q over frequency."""
-    if isinstance(F, TimeFrequencyArray):
-        grid, data = F.grid, F.data
-    elif isinstance(F, Symbol):
-        grid, data = F.grid, F.data
-    else:
+    if not isinstance(F, (TimeFrequencyArray, Symbol)):
         raise DomainMismatch("mixed_norm expects a TimeFrequencyArray or Symbol")
+    grid, data = F.grid, F.data
     if omega is None:
         omega = trivial_weight(TF_AXES)
     if len(omega.axes) != 2:
@@ -462,111 +459,27 @@ def holds_composition_exponents_l2(t: ExponentTuple) -> bool:
 # weight condition estimates
 
 
-def _tuple_points(grid, blocks, limit, sample, seed):
-    """Index tuples covering (Z_n^d-phase-space)^blocks, exhaustive or sampled."""
-    P = _flat_domain_points(grid, TF_AXES)  # (N^2, 2d) physical (x, xi)
+def _require_axes(axes, *weights):
+    for w in weights:
+        if tuple(w.axes) != tuple(axes):
+            raise DomainMismatch(f"weight has axes {tuple(w.axes)}, expected {tuple(axes)}")
+
+
+def _tuple_points(grid, axes, blocks, seed=0):
+    """`blocks` arrays of physical points on the `axes` domain whose rows
+    run over every tuple (at most PAIR_LIMIT of them) or over PAIR_SAMPLES
+    random tuples drawn with `seed`."""
+    P = _flat_domain_points(grid, axes)
     count = P.shape[0]
-    if count**blocks <= limit:
+    if count**blocks <= PAIR_LIMIT:
         grids = np.meshgrid(*([np.arange(count)] * blocks), indexing="ij")
-        idx = [g.ravel() for g in grids]
-    else:
-        rng = np.random.default_rng(seed)
-        idx = [rng.integers(0, count, size=sample) for _ in range(blocks)]
-    return P, idx
+        return [P[g.ravel()] for g in grids]
+    rng = np.random.default_rng(seed)
+    return [P[rng.integers(0, count, size=PAIR_SAMPLES)] for _ in range(blocks)]
 
 
-def _split_xy(P, idx, d):
-    pts = P[idx]
-    return pts[:, :d], pts[:, d:]
-
-
-def holds_kernel_weight_bound(omega: Weight, omega1: Weight, omega2: Weight,
-                              grid: GridSpec, limit=10**6, sample=10**5, seed=0):
-    """Worst constant in omega2(x, xi) <= C omega1(y, eta) omega(x, y, xi, -eta).
-
-    omega is a 4-block kernel-phase-space weight (pos, pos, freq, freq);
-    omega1, omega2 are 2-block weights.  Returns (finite, C_est).
-    """
-    if tuple(omega.axes) != KERNEL_AXES:
-        raise DomainMismatch(f"kernel weight must have axes {KERNEL_AXES}")
-    d = grid.d
-    P, (i, j) = _tuple_points(grid, 2, limit, sample, seed)
-    x, xi = _split_xy(P, i, d)
-    y, eta = _split_xy(P, j, d)
-    arg = np.concatenate([x, y, xi, -eta], axis=1)
-    q = omega2.evaluate(P[i]) / (omega1.evaluate(P[j]) * omega.evaluate(arg))
-    best = float(q.max())
-    return bool(np.isfinite(best)), best
-
-
-def holds_kernel_symbol_weight_equiv(omega: Weight, omega0: Weight, A,
-                                     grid: GridSpec, limit=10**6, sample=10**5, seed=0):
-    """Two-sided constants for the kernel/symbol weight correspondence
-
-        omega(x, y, xi, eta) ~ omega0(x - A(x-y), A*xi - (I-A*)eta, xi + eta, y - x).
-
-    Returns (finite, max of the two one-sided constants).
-    """
-    if tuple(omega.axes) != KERNEL_AXES or tuple(omega0.axes) != SYMBOL_AXES:
-        raise DomainMismatch("expected kernel-layout omega and symbol-layout omega0")
-    d = grid.d
-    Amat = as_matrix_param(A, d).entries
-    P, (i, j) = _tuple_points(grid, 2, limit, sample, seed)
-    x, xi = _split_xy(P, i, d)
-    y, eta = _split_xy(P, j, d)
-    lhs = omega.evaluate(np.concatenate([x, y, xi, eta], axis=1))
-    arg = np.concatenate(
-        [x - (x - y) @ Amat.T, xi @ Amat - eta @ (np.eye(d) - Amat), xi + eta, y - x], axis=1
-    )
-    rhs = omega0.evaluate(arg)
-    c_fwd = float((lhs / rhs).max())
-    c_bwd = float((rhs / lhs).max())
-    best = max(c_fwd, c_bwd)
-    return bool(np.isfinite(best)), best
-
-
-def holds_wigner_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A,
-                              grid: GridSpec, limit=10**6, sample=10**5, seed=0):
-    """Worst constant in
-
-        omega0(x - A(x-y), A*xi + (I-A*)eta, xi - eta, y - x)
-            <= C omega1(x, xi) omega2(y, eta).
-
-    Returns (finite, C_est)."""
-    if tuple(omega0.axes) != SYMBOL_AXES:
-        raise DomainMismatch(f"omega0 must have axes {SYMBOL_AXES}")
-    d = grid.d
-    Amat = as_matrix_param(A, d).entries
-    P, (i, j) = _tuple_points(grid, 2, limit, sample, seed)
-    x, xi = _split_xy(P, i, d)
-    y, eta = _split_xy(P, j, d)
-    arg = np.concatenate(
-        [x - (x - y) @ Amat.T, xi @ Amat + eta @ (np.eye(d) - Amat), xi - eta, y - x], axis=1
-    )
-    q = omega0.evaluate(arg) / (omega1.evaluate(P[i]) * omega2.evaluate(P[j]))
-    best = float(q.max())
-    return bool(np.isfinite(best)), best
-
-
-def holds_op_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A,
-                          grid: GridSpec, limit=10**6, sample=10**5, seed=0):
-    """Worst constant in the reverse direction
-
-        omega2(x, xi) <= C omega1(y, eta) omega0(x - A(x-y), A*xi + (I-A*)eta, xi - eta, y - x),
-
-    the hypothesis under which symbols give bounded operators between
-    weighted modulation spaces.  Returns (finite, C_est)."""
-    if tuple(omega0.axes) != SYMBOL_AXES:
-        raise DomainMismatch(f"omega0 must have axes {SYMBOL_AXES}")
-    d = grid.d
-    Amat = as_matrix_param(A, d).entries
-    P, (i, j) = _tuple_points(grid, 2, limit, sample, seed)
-    x, xi = _split_xy(P, i, d)
-    y, eta = _split_xy(P, j, d)
-    arg = np.concatenate(
-        [x - (x - y) @ Amat.T, xi @ Amat + eta @ (np.eye(d) - Amat), xi - eta, y - x], axis=1
-    )
-    q = omega2.evaluate(P[i]) / (omega1.evaluate(P[j]) * omega0.evaluate(arg))
+def _worst(q):
+    """(finite, C) for the worst sampled constant C = max q."""
     best = float(q.max())
     return bool(np.isfinite(best)), best
 
@@ -582,24 +495,83 @@ def transfer_pair_coords(X, Y, Amat):
     )
 
 
-def holds_composition_weight_bound(weights, A, grid: GridSpec,
-                                   limit=10**6, sample=10**5, seed=0):
+def holds_kernel_weight_bound(omega: Weight, omega1: Weight, omega2: Weight, grid: GridSpec):
+    """Worst constant in omega2(X) <= C omega1(Y) omega(x, y, xi, -eta) over
+    phase points X = (x, xi), Y = (y, eta).
+
+    omega is a 4-block kernel-phase-space weight (pos, pos, freq, freq);
+    omega1, omega2 are 2-block weights.  Returns (finite, C_est).
+    """
+    _require_axes(KERNEL_AXES, omega)
+    d = grid.d
+    X, Y = _tuple_points(grid, TF_AXES, 2)
+    arg = np.concatenate([X[:, :d], Y[:, :d], X[:, d:], -Y[:, d:]], axis=1)
+    return _worst(omega2.evaluate(X) / (omega1.evaluate(Y) * omega.evaluate(arg)))
+
+
+def holds_kernel_symbol_weight_equiv(omega: Weight, omega0: Weight, A, grid: GridSpec):
+    """Two-sided constants for the kernel/symbol weight correspondence
+
+        omega(x, y, xi, eta) ~ omega0(T_A((y, -eta), (x, xi)))
+                             = omega0(x - A(x-y), A*xi - (I-A*)eta, xi + eta, y - x).
+
+    Returns (finite, max of the two one-sided constants).
+    """
+    _require_axes(KERNEL_AXES, omega)
+    _require_axes(SYMBOL_AXES, omega0)
+    d = grid.d
+    Amat = as_matrix_param(A, d).entries
+    X, Y = _tuple_points(grid, TF_AXES, 2)
+    lhs = omega.evaluate(np.concatenate([X[:, :d], Y[:, :d], X[:, d:], Y[:, d:]], axis=1))
+    Y[:, d:] *= -1.0  # (y, -eta)
+    rhs = omega0.evaluate(transfer_pair_coords(Y, X, Amat))
+    return _worst(np.maximum(lhs / rhs, rhs / lhs))
+
+
+def holds_wigner_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A,
+                              grid: GridSpec):
+    """Worst constant in
+
+        omega0(T_A(Y, X)) <= C omega1(X) omega2(Y),
+        T_A(Y, X) = (x - A(x-y), A*xi + (I-A*)eta, xi - eta, y - x),
+
+    over phase points X = (x, xi), Y = (y, eta).  Returns (finite, C_est)."""
+    _require_axes(SYMBOL_AXES, omega0)
+    Amat = as_matrix_param(A, grid.d).entries
+    X, Y = _tuple_points(grid, TF_AXES, 2)
+    return _worst(omega0.evaluate(transfer_pair_coords(Y, X, Amat))
+                  / (omega1.evaluate(X) * omega2.evaluate(Y)))
+
+
+def holds_op_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A, grid: GridSpec):
+    """Worst constant in the reverse direction
+
+        omega2(X) <= C omega1(Y) omega0(T_A(Y, X)),
+
+    with T_A(Y, X) as in :func:`holds_wigner_weight_bound`: the hypothesis
+    under which symbols give bounded operators between weighted modulation
+    spaces.  Returns (finite, C_est)."""
+    _require_axes(SYMBOL_AXES, omega0)
+    Amat = as_matrix_param(A, grid.d).entries
+    X, Y = _tuple_points(grid, TF_AXES, 2)
+    return _worst(omega2.evaluate(X)
+                  / (omega1.evaluate(Y) * omega0.evaluate(transfer_pair_coords(Y, X, Amat))))
+
+
+def holds_composition_weight_bound(weights, A, grid: GridSpec, seed=0):
     """Worst constant in 1 <= C omega_0(T_A(X_N, X_0)) prod_j omega_j(T_A(X_j, X_{j-1})).
 
-    weights = (omega_0, ..., omega_N), each a symbol-layout 4-block weight.
-    Returns (finite, C_est) with C_est = 1 / min over tuples of the product.
+    weights = (omega_0, ..., omega_N), each a symbol-layout 4-block weight;
+    `seed` draws the tuples (X_0, ..., X_N) above PAIR_LIMIT.  Returns
+    (finite, C_est) with C_est = 1 / min over tuples of the product.
     """
-    for w in weights:
-        if tuple(w.axes) != SYMBOL_AXES:
-            raise DomainMismatch(f"composition weights must have axes {SYMBOL_AXES}")
+    _require_axes(SYMBOL_AXES, *weights)
     if len(weights) < 2:
         raise ArityMismatch("need at least omega_0 and omega_1")
     N = len(weights) - 1
-    d = grid.d
-    Amat = as_matrix_param(A, d).entries
-    P, idx = _tuple_points(grid, N + 1, limit, sample, seed)
-    prod = weights[0].evaluate(transfer_pair_coords(P[idx[N]], P[idx[0]], Amat))
+    Amat = as_matrix_param(A, grid.d).entries
+    X = _tuple_points(grid, TF_AXES, N + 1, seed)
+    prod = weights[0].evaluate(transfer_pair_coords(X[N], X[0], Amat))
     for j in range(1, N + 1):
-        prod = prod * weights[j].evaluate(transfer_pair_coords(P[idx[j]], P[idx[j - 1]], Amat))
-    c = float(1.0 / prod.min())
-    return bool(np.isfinite(c)), c
+        prod = prod * weights[j].evaluate(transfer_pair_coords(X[j], X[j - 1], Amat))
+    return _worst(1.0 / prod)

@@ -58,6 +58,8 @@ class MatrixParam:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParams(f"matrix parameter must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidParams("matrix parameter entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

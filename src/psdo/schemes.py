@@ -60,8 +60,8 @@ class SchemeSpec:
         if self.kind in ("un_avg", "un_avg_time"):
             p.setdefault("r", 0.0)
             p.setdefault("angle_nodes", 64)
-            if p["r"] < 0:
-                raise InvalidParams(f"r must be >= 0, got {p['r']}")
+            if not 0 <= p["r"] < math.inf:
+                raise InvalidParams(f"r must be finite and >= 0, got {p['r']}")
         if self.kind == "un_avg_time":
             p.setdefault("t_nodes", 20)
         for key in ("quad_nodes", "angle_nodes", "t_nodes"):
@@ -189,6 +189,10 @@ def quantize_scheme(a: Symbol, spec: SchemeSpec) -> OperatorMatrix:
 # special functions
 
 
+def _overflow(d: int, rho: float) -> InvalidParams:
+    return InvalidParams(f"psi series for d={d} overflows at argument {rho}")
+
+
 def _psi_series(d: int, rho: float, signed: bool) -> float:
     half = rho / 2.0
     total = 0.0
@@ -196,6 +200,8 @@ def _psi_series(d: int, rho: float, signed: bool) -> float:
     m = 0
     while True:
         total += (-term if (signed and m % 2) else term)
+        if not math.isfinite(total):
+            raise _overflow(d, rho)
         nxt = term * half * half / ((m + 1) * (m + d / 2.0))
         m += 1
         if m >= 10 and nxt < 1e-16 * max(abs(total), 1.0):
@@ -207,8 +213,8 @@ def _psi_series(d: int, rho: float, signed: bool) -> float:
 def _check_psi_args(d, rho):
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidDimension(f"dimension must be a positive integer, got {d}")
-    if rho < 0:
-        raise InvalidParams(f"argument must be >= 0, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise InvalidParams(f"argument must be finite and >= 0, got {rho}")
 
 
 def psi(d: int, rho: float) -> float:
@@ -218,10 +224,13 @@ def psi(d: int, rho: float) -> float:
         Gamma(d/2) 2^{-(d-2)/2} sum_m (rho/2)^{2m} / (m! Gamma(m + d/2)),
 
     truncated once the next term falls below 1e-16 of the partial sum
-    (at least 10 terms)."""
+    (at least 10 terms).  Raises InvalidParams once the value overflows."""
     _check_psi_args(d, rho)
     if d == 1:
-        return math.cosh(rho)
+        try:
+            return math.cosh(rho)
+        except OverflowError:
+            raise _overflow(d, rho) from None
     return _psi_series(d, rho, signed=False)
 
 
@@ -229,7 +238,8 @@ def psi_alternating(d: int, rho: float) -> float:
     """The psi series with alternating signs, i.e. psi_d evaluated on the
     imaginary axis: cos(rho) for d=1, the oscillatory Bessel profile for
     d>1.  This is exactly what the direct Haar average of the transfer
-    phase produces (see :func:`un_avg_multiplier`)."""
+    phase produces (see :func:`un_avg_multiplier`).  Raises InvalidParams
+    once the partial sums overflow."""
     _check_psi_args(d, rho)
     if d == 1:
         return math.cos(rho)
@@ -238,22 +248,30 @@ def psi_alternating(d: int, rho: float) -> float:
 
 def psi0(d: int, r: float) -> float:
     """Running integral of psi_d from 0 to r; sinh(r) for d=1, termwise
-    integration of the series for d>1 (each monomial integrates exactly)."""
+    integration of the series for d>1 (each monomial integrates exactly).
+    Raises InvalidParams once the value overflows."""
     _check_psi_args(d, r)
     if d == 1:
-        return math.sinh(r)
+        try:
+            return math.sinh(r)
+        except OverflowError:
+            raise _overflow(d, r) from None
     half = r / 2.0
     total = 0.0
     c = 2.0 ** (-(d - 2) / 2.0)
     m = 0
     while True:
-        term = c * 2.0 * half ** (2 * m + 1) / (2 * m + 1)
+        try:
+            term = c * 2.0 * half ** (2 * m + 1) / (2 * m + 1)
+        except OverflowError:
+            raise _overflow(d, r) from None
         total += term
+        if not math.isfinite(total):
+            raise _overflow(d, r)
         c = c / ((m + 1) * (m + d / 2.0))
         m += 1
         if m >= 10 and abs(term) < 1e-16 * max(abs(total), 1.0):
-            break
-    return total
+            return total
 
 
 def un_avg_multiplier_grid(grid, r: float, angle_nodes: int = 64) -> np.ndarray:

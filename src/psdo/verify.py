@@ -926,7 +926,10 @@ def _run_check(cd: CheckDef, ctx: Context) -> dict:
 
 
 def run_suite(suite: str, n: int, d: int, seed: int, threads: int = None) -> dict:
-    """Run one suite (or 'all'); returns the report dict."""
+    """Run one suite (or 'all'); returns the report dict.
+
+    threads=None takes the check parallelism from PSDO_THREADS (default 1).
+    """
     if suite not in SUITES:
         raise InvalidParams(f"unknown suite {suite!r}; have {SUITES}")
     if d not in (1, 2):
@@ -935,7 +938,11 @@ def run_suite(suite: str, n: int, d: int, seed: int, threads: int = None) -> dic
     ctx = Context(n, d, seed)
     selected = [c for c in CHECKS if suite == "all" or c.suite == suite]
     if threads is None:
-        threads = int(os.environ.get("PSDO_THREADS", "1"))
+        raw = os.environ.get("PSDO_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise InvalidParams(f"PSDO_THREADS must be an integer, got {raw!r}") from None
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda c: _run_check(c, ctx), selected))

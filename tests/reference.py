@@ -128,3 +128,100 @@ def naive_fourier_multiplier_op(h, n):
             for k in range(n):
                 K[j, jp] += h[k] * np.exp(2j * np.pi * (j - jp) * k / n)
     return K / n
+
+
+# ---------------------------------------------------------------------------
+# weight-condition constants, one phase-space pair (or tuple) at a time
+
+
+def phase_points(n, d):
+    """Physical (x, xi) of every point of Z_n^d x Z_n^d: centered
+    representatives, scale 1 on positions and 2 pi / n on frequencies."""
+    pts = []
+    for i in range(n ** d):
+        x = np.array([rep(c, n) for c in coords(i, n, d)], float)
+        for k in range(n ** d):
+            xi = 2 * np.pi / n * np.array([rep(c, n) for c in coords(k, n, d)], float)
+            pts.append((x, xi))
+    return pts
+
+
+def _cat(*parts):
+    return np.concatenate(parts)
+
+
+def naive_moderate(omega, v, n, d):
+    """max over X, Y of omega(X + Y) / (omega(X) v(Y)), 2-block weights."""
+    pts = [_cat(x, xi) for x, xi in phase_points(n, d)]
+    return max(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y))
+               for X in pts for Y in pts)
+
+
+def naive_kernel_bound(omega, omega1, omega2, n, d):
+    """max of omega2(x, xi) / (omega1(y, eta) omega(x, y, xi, -eta))."""
+    pts = phase_points(n, d)
+    return max(omega2.evaluate(_cat(x, xi))
+               / (omega1.evaluate(_cat(y, eta)) * omega.evaluate(_cat(x, y, xi, -eta)))
+               for x, xi in pts for y, eta in pts)
+
+
+def naive_kernel_symbol_equiv(omega, omega0, A, n, d):
+    """Larger of the two one-sided constants between omega(x, y, xi, eta)
+    and omega0(x - A(x-y), A*xi - (I-A*)eta, xi + eta, y - x)."""
+    A = np.asarray(A, float).reshape(d, d)
+    I = np.eye(d)
+    pts = phase_points(n, d)
+    best = 0.0
+    for x, xi in pts:
+        for y, eta in pts:
+            lhs = omega.evaluate(_cat(x, y, xi, eta))
+            rhs = omega0.evaluate(_cat(x - A @ (x - y), A.T @ xi - (I - A.T) @ eta,
+                                       xi + eta, y - x))
+            best = max(best, lhs / rhs, rhs / lhs)
+    return best
+
+
+def _symbol_arg(A, x, xi, y, eta):
+    """(x - A(x-y), A*xi + (I-A*)eta, xi - eta, y - x)."""
+    I = np.eye(len(x))
+    return _cat(x - A @ (x - y), A.T @ xi + (I - A.T) @ eta, xi - eta, y - x)
+
+
+def naive_wigner_bound(omega0, omega1, omega2, A, n, d):
+    """max of omega0(symbol arg) / (omega1(x, xi) omega2(y, eta))."""
+    A = np.asarray(A, float).reshape(d, d)
+    pts = phase_points(n, d)
+    return max(omega0.evaluate(_symbol_arg(A, x, xi, y, eta))
+               / (omega1.evaluate(_cat(x, xi)) * omega2.evaluate(_cat(y, eta)))
+               for x, xi in pts for y, eta in pts)
+
+
+def naive_op_bound(omega0, omega1, omega2, A, n, d):
+    """max of omega2(x, xi) / (omega1(y, eta) omega0(symbol arg))."""
+    A = np.asarray(A, float).reshape(d, d)
+    pts = phase_points(n, d)
+    return max(omega2.evaluate(_cat(x, xi))
+               / (omega1.evaluate(_cat(y, eta)) * omega0.evaluate(_symbol_arg(A, x, xi, y, eta)))
+               for x, xi in pts for y, eta in pts)
+
+
+def naive_composition_bound(weights, A, n, d):
+    """1 / min over tuples (X_0..X_N) of
+    omega_0(T(X_N, X_0)) prod_j omega_j(T(X_j, X_{j-1})), where
+    T((x, xi), (y, eta)) = (y + A(x-y), xi + A*(eta-xi), eta - xi, x - y)."""
+    import itertools
+
+    A = np.asarray(A, float).reshape(d, d)
+
+    def T(X, Y):
+        (x, xi), (y, eta) = X, Y
+        return _cat(y + A @ (x - y), xi + A.T @ (eta - xi), eta - xi, x - y)
+
+    N = len(weights) - 1
+    worst = np.inf
+    for Xs in itertools.product(phase_points(n, d), repeat=N + 1):
+        prod = weights[0].evaluate(T(Xs[N], Xs[0]))
+        for j in range(1, N + 1):
+            prod *= weights[j].evaluate(T(Xs[j], Xs[j - 1]))
+        worst = min(worst, prod)
+    return 1.0 / worst

@@ -202,6 +202,26 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_quantize_nan_matrix_param_exits_3(tmp_path, capsys):
+    apath = tmp_path / "a.bin"
+    _write_symbol(apath)
+    for params in ('{"A": NaN}', '{"A": [Infinity]}'):
+        code, _, err = run_cli(capsys, "quantize", "--n", "9", "--input", f"a={apath}",
+                               "--params", params, "--out", str(tmp_path / "K.bin"))
+        assert code == 3 and "finite" in err
+    assert not (tmp_path / "K.bin").exists()
+
+
+def test_verify_bad_thread_count_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PSDO_THREADS", "abc")
+    code, _, err = run_cli(capsys, "verify", "schatten", "--n", "9",
+                           "--json-out", str(tmp_path / "r.json"))
+    assert code == 3 and "PSDO_THREADS" in err
+    monkeypatch.setenv("PSDO_THREADS", "2")
+    assert run_cli(capsys, "verify", "schatten", "--n", "9",
+                   "--json-out", str(tmp_path / "r.json"))[0] == 0
+
+
 def test_verify_report_reproducible(tmp_path, capsys):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run_cli(capsys, "verify", "calculus", "--n", "9", "--seed", "7",

@@ -35,6 +35,14 @@ def test_gridspec_validation():
     assert GridSpec(2, 9).size == 81
 
 
+def test_gridspec_integer_types():
+    for d, n in ((1, 9.0), (1.0, 9), (True, 9), (1, True), (1, np.float64(9)), ("1", 9)):
+        with pytest.raises(InvalidParams):
+            GridSpec(d, n)
+    g = GridSpec(np.int32(1), np.int64(9))
+    assert g == GridSpec(1, 9) and type(g.d) is int and type(g.n) is int
+
+
 def test_signal_shape_validation(grid9):
     with pytest.raises(DimMismatch):
         Signal(grid9, np.zeros(8))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import reference as ref
 from psdo import GridSpec, Signal, Symbol, gaussian_window
 from psdo.modspace import (
     INF,
@@ -130,7 +131,7 @@ def test_moderate_check_domain_mismatch(grid9):
 
 def test_moderate_check_sampled_path(grid9):
     w = make_weight("polynomial", axes=SYMBOL_AXES, s=1.0)
-    ok, c = moderate_check(w, w, grid9, pair_limit=10, sample_pairs=500, seed=1)
+    ok, c = moderate_check(w, w, grid9)  # 6561^2 pairs > PAIR_LIMIT: sampled
     assert ok and 0.0 < c <= math.sqrt(2.0) + 1e-12
 
 
@@ -355,3 +356,34 @@ def test_composition_weight_bound_poly(grid9):
     winc = make_weight("polynomial", axes=SYMBOL_AXES, s=2.0)
     ok, c = holds_composition_weight_bound((winc, wdec, wdec), 0.5, grid9)
     assert ok and math.isfinite(c) and c > 1.0
+
+
+@pytest.mark.parametrize("n, d, A", [(5, 1, 0.37), (3, 2, [[0.3, -0.7], [0.25, 0.5]])])
+def test_weight_estimators_match_naive(n, d, A):
+    # non-trivial weights under a non-symmetric A on exhaustive grids,
+    # against per-pair evaluation of each estimator's defining inequality
+    grid = GridSpec(d, n)
+    poly2 = make_weight("polynomial", s=1.5)
+    expo2 = make_weight("exponential", c=0.3, s=2.0)
+    sym_poly = make_weight("polynomial", axes=SYMBOL_AXES, s=-1.0)
+    sym_prod = make_weight("product", factors=(
+        make_weight("exponential", axes=("pos", "freq"), c=-0.2, s=1.5),
+        make_weight("polynomial", axes=("freq", "pos"), s=2.0)))
+    ker = make_weight("product", factors=(
+        make_weight("polynomial", axes=("pos", "pos"), s=1.0),
+        make_weight("exponential", axes=("freq", "freq"), c=0.25, s=1.0)))
+    comp = (sym_prod, sym_poly, make_weight("polynomial", axes=SYMBOL_AXES, s=0.5))[: 3 if d == 1 else 2]
+    cases = [
+        (moderate_check(expo2, poly2, grid), ref.naive_moderate(expo2, poly2, n, d)),
+        (holds_kernel_weight_bound(ker, poly2, expo2, grid),
+         ref.naive_kernel_bound(ker, poly2, expo2, n, d)),
+        (holds_kernel_symbol_weight_equiv(ker, sym_prod, A, grid),
+         ref.naive_kernel_symbol_equiv(ker, sym_prod, A, n, d)),
+        (holds_wigner_weight_bound(sym_prod, poly2, expo2, A, grid),
+         ref.naive_wigner_bound(sym_prod, poly2, expo2, A, n, d)),
+        (holds_op_weight_bound(sym_poly, expo2, poly2, A, grid),
+         ref.naive_op_bound(sym_poly, expo2, poly2, A, n, d)),
+        (holds_composition_weight_bound(comp, A, grid), ref.naive_composition_bound(comp, A, n, d)),
+    ]
+    for (ok, c), want in cases:
+        assert ok and c == pytest.approx(want, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
+from hypothesis.extra.numpy import arrays
 
 from psdo import (
     GridSpec,
@@ -30,6 +31,19 @@ def test_matrix_param_coercion():
         MatrixParam(np.zeros((2, 3)))
     with pytest.raises(InvalidParams):
         as_matrix_param(MatrixParam.zero(2), 1)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    arrays(float, (d, d), elements=st.floats(-1e6, 1e6)),
+    st.integers(0, d * d - 1),
+    st.sampled_from([np.nan, np.inf, -np.inf]))))
+def test_matrix_param_rejects_non_finite(case):
+    A, at, bad = case
+    MatrixParam(A)
+    A = A.copy()
+    A.flat[at] = bad
+    with pytest.raises(InvalidParams):
+        MatrixParam(A)
 
 
 def test_mode_mismatch(grid9m, rng):

@@ -138,6 +138,29 @@ def test_psi_values():
         psi(2, -1.0)
 
 
+@pytest.mark.parametrize("f, d, rho", [
+    (psi, 2, math.nan),               # used to loop forever
+    (psi0, 2, math.nan),              # used to loop forever
+    (psi, 2, math.inf),
+    (psi, 2, 2000.0),                 # used to loop forever once the sum hit inf
+    (psi_alternating, 2, 2000.0),     # used to loop forever once the sum hit nan
+    (psi, 1, 2000.0),                 # used to raise a raw OverflowError
+    (psi0, 1, 2000.0),
+    (psi0, 2, 2000.0),
+])
+def test_psi_non_finite_fails_fast(f, d, rho):
+    with pytest.raises(InvalidParams):
+        f(d, rho)
+
+
+def test_scheme_spec_rejects_non_finite_r():
+    for r in (math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            SchemeSpec("un_avg", {"r": r})
+        with pytest.raises(InvalidParams):
+            SchemeSpec("un_avg_time", {"r": r})
+
+
 def test_psi2_against_sphere_average():
     # the d=2 series is the circle average of e^{rho cos}; the Monte-Carlo
     # ratio must not depend on rho
