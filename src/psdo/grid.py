@@ -148,12 +148,16 @@ class OperatorMatrix:
         return float(np.linalg.norm(self.data))
 
 
+# grids whose index tables stay cached, per table kind
+CACHE_SIZE = 32
+
+
 def rep(k: int, n: int) -> int:
     """Centered representative: the unique r = k (mod n) with |r| <= (n-1)/2."""
     return (int(k) + (n - 1) // 2) % n - (n - 1) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def rep_axis(n: int) -> np.ndarray:
     """Centered representatives of 0..n-1 as an int array."""
     r = (np.arange(n) + (n - 1) // 2) % n - (n - 1) // 2
@@ -161,7 +165,7 @@ def rep_axis(n: int) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _coords(n: int, d: int) -> np.ndarray:
     """(N, d) array of per-axis indices for each flat index, row-major."""
     grids = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
@@ -179,7 +183,7 @@ def rep_coords(grid: GridSpec) -> np.ndarray:
     return rep_axis(grid.n)[_coords(grid.n, grid.d) % grid.n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _rel_index(n: int, d: int) -> np.ndarray:
     """rel[i, j] = flat index of coords(i) - coords(j) mod n."""
     c = _coords(n, d)

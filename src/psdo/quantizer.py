@@ -10,12 +10,18 @@ unitary symbol automorphism:
   of kappa, mu ("real" mode) or by the mod-n reduced integer phase
   ("mod" mode).
 
-Op_A(a) is defined as Op_0(T_A a).  The independent kernel formula
+Op_A(a) is defined as Op_0(T_A a).  The kernel formula
 K[j, j'] = n^{-d/2} (F2^{-1} a)(j - A u, u), u = j - j', reproduces it
 exactly.  Its first argument is evaluated for every real A by one
 trigonometric interpolation along the position block, with the
 displacement A u taken at the centered representative of u; for integer
 A this is the exact cyclic shift.
+
+Production :func:`quantize` and :func:`dequantize` run the kernel formula
+in 3 FFT passes (1 at A = 0), with the phase built from one n x n factor
+per non-zero entry of A.  The multiplier route Op_0(T_A a), i.e.
+``quantize(symbol_transfer(a, A), 0)``, is the independent oracle that
+``verify`` checks :func:`kernel_route` against.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ from .grid import (
     Symbol,
     OperatorMatrix,
     index_coords,
+    rep_axis,
     rep_coords,
     rel_index,
+    _block_axes,
     _partial_dft_core,
 )
 
@@ -74,6 +82,8 @@ class MatrixParam:
 
     @classmethod
     def scalar(cls, t: float, d: int) -> "MatrixParam":
+        if not np.isfinite(t):  # before t * I, where inf * 0 would warn
+            raise InvalidParams(f"matrix parameter must be finite, got {t}")
         return cls(t * np.eye(d))
 
     @classmethod
@@ -110,29 +120,44 @@ def _require_mode(grid: GridSpec, A: MatrixParam):
         raise ModeMismatch("mode 'mod' requires an integer matrix parameter")
 
 
-def _transfer_phase(grid: GridSpec, A: MatrixParam) -> np.ndarray:
-    """(N, N) multiplier over (kappa, mu): the Fourier-side phase of T_A."""
+def _mod_transfer_phase(grid: GridSpec, A: MatrixParam) -> np.ndarray:
+    """(N, N) multiplier over (kappa, mu) of T_A in mode "mod": the mod-n
+    reduced integer phase."""
     n = grid.n
-    if grid.mode == "mod":
-        Aint = np.round(A.entries).astype(np.int64) % n
-        c = index_coords(grid).astype(np.int64)
-        dot = np.einsum("ci,ij,mj->cm", c, Aint, c) % n
-        return np.exp(2j * np.pi * dot / n)
-    c = rep_coords(grid).astype(float)
-    dot = np.einsum("ci,ij,mj->cm", c, A.entries, c)
+    Aint = np.round(A.entries).astype(np.int64) % n
+    c = index_coords(grid).astype(np.int64)
+    dot = np.einsum("ci,ij,mj->cm", c, Aint, c) % n
     return np.exp(2j * np.pi * dot / n)
+
+
+def _apply_phase(X, grid: GridSpec, A: MatrixParam, sign: int):
+    """Multiply X, shaped (n,)*2d over (k, u), in place by
+    e^{sign 2i pi <rep k, A rep u>/n}: one broadcast n x n factor
+    e^{sign 2i pi rep(k_i) A_ij rep(u_j)/n} per non-zero entry A_ij."""
+    n, d = grid.n, grid.d
+    r = rep_axis(n).astype(float)
+    rr = np.multiply.outer(r, r) * (sign * 2.0 * np.pi / n)
+    for i, j in zip(*np.nonzero(A.entries)):
+        shape = [1] * (2 * d)
+        shape[i] = shape[d + j] = n
+        X *= np.exp(1j * A.entries[i, j] * rr).reshape(shape)
+
+
+def _translate_columns(G, grid: GridSpec, A: MatrixParam, sign: int):
+    """Translate column u of G, shaped (n,)*2d over (j, u), by -sign A rep(u)
+    along the position block: block-1 FFT, phase, block-1 inverse FFT
+    (trigonometric interpolation, the exact cyclic shift for integer A)."""
+    if not A.entries.any():
+        return G
+    pos = _block_axes(grid.d, 1)
+    G = np.fft.fftn(G, axes=pos)
+    _apply_phase(G, grid, A, sign)
+    return np.fft.ifftn(G, axes=pos)
 
 
 def _full_dft2(arr2, grid, inverse=False):
     out = _partial_dft_core(arr2, grid, 1, inverse)
     return _partial_dft_core(out, grid, 2, inverse)
-
-
-def _symbol_transfer_core(a, grid, A):
-    if not A.entries.any():  # T_0 is the identity, exactly
-        return a
-    ahat = _full_dft2(a, grid)
-    return _full_dft2(ahat * _transfer_phase(grid, A), grid, inverse=True)
 
 
 def symbol_transfer(a: Symbol, A) -> Symbol:
@@ -141,30 +166,37 @@ def symbol_transfer(a: Symbol, A) -> Symbol:
     T_A is unitary on l2 of the symbol grid and T_A T_B = T_{A+B}; by
     construction Op_{A1}(a) = Op_{A2}(T_{A2}^{-1} T_{A1} a).
     """
-    A = as_matrix_param(A, a.grid.d)
-    _require_mode(a.grid, A)
-    return Symbol(a.grid, _symbol_transfer_core(a.data, a.grid, A))
-
-
-def _op0(b, grid):
-    """Kohn-Nirenberg matrix of a symbol array."""
-    G = _partial_dft_core(b, grid, 2, inverse=True) / np.sqrt(grid.size)
-    K = np.empty_like(G)
-    np.put_along_axis(K, rel_index(grid), G, axis=1)
-    return K
-
-
-def _op0_inverse(K, grid):
-    """Exact inverse of :func:`_op0`."""
-    L = np.take_along_axis(K, rel_index(grid), axis=1)
-    return _partial_dft_core(L, grid, 2, inverse=False) * np.sqrt(grid.size)
+    grid = a.grid
+    A = as_matrix_param(A, grid.d)
+    _require_mode(grid, A)
+    if not A.entries.any():  # T_0 is the identity, exactly
+        return a
+    shape = (grid.n,) * (2 * grid.d)
+    ahat = np.fft.fftn(a.data.reshape(shape))
+    if grid.mode == "mod":
+        ahat *= _mod_transfer_phase(grid, A).reshape(shape)
+    else:
+        _apply_phase(ahat, grid, A, 1)
+    return Symbol(grid, np.fft.ifftn(ahat).reshape(a.data.shape))
 
 
 def quantize(a: Symbol, A) -> OperatorMatrix:
-    """Op_A(a) via the multiplier route Op_0(T_A a); linear in a."""
-    A = as_matrix_param(A, a.grid.d)
-    _require_mode(a.grid, A)
-    return OperatorMatrix(a.grid, _op0(_symbol_transfer_core(a.data, a.grid, A), a.grid))
+    """Op_A(a) through the kernel formula; linear in a.
+
+    G = n^{-d/2} F2^{-1} a (one raw inverse FFT over the frequency block);
+    for A != 0 column u is translated by A rep(u) (block-1 FFT, phase
+    e^{-2i pi <rep k, A rep u>/n}, block-1 inverse FFT); then
+    K[j, j - u] = G[j, u].  3 FFT passes, 1 at A = 0.
+    """
+    grid = a.grid
+    A = as_matrix_param(A, grid.d)
+    _require_mode(grid, A)
+    freq = _block_axes(grid.d, 2)
+    G = np.fft.ifftn(a.data.reshape((grid.n,) * (2 * grid.d)), axes=freq)
+    G = _translate_columns(G, grid, A, -1)
+    K = np.empty(a.data.shape, dtype=np.complex128)
+    np.put_along_axis(K, rel_index(grid), G.reshape(K.shape), axis=1)
+    return OperatorMatrix(grid, K)
 
 
 def kernel_route(a: Symbol, A) -> OperatorMatrix:
@@ -189,12 +221,19 @@ def kernel_route(a: Symbol, A) -> OperatorMatrix:
 
 
 def dequantize(T: OperatorMatrix, A) -> Symbol:
-    """Exact inverse of :func:`quantize`: the unique a with Op_A(a) = T."""
+    """Exact inverse of :func:`quantize`: the unique a with Op_A(a) = T.
+
+    Gathers G[j, u] = T[j, j - u], translates column u back by A rep(u)
+    (phase e^{+2i pi <rep k, A rep u>/n}) for A != 0, then applies one
+    raw FFT over the frequency block.
+    """
     grid = T.grid
     A = as_matrix_param(A, grid.d)
     _require_mode(grid, A)
-    b0 = _op0_inverse(T.data, grid)
-    return Symbol(grid, _symbol_transfer_core(b0, grid, -A))
+    freq = _block_axes(grid.d, 2)
+    G = np.take_along_axis(T.data, rel_index(grid), axis=1).reshape((grid.n,) * (2 * grid.d))
+    G = _translate_columns(G, grid, A, 1)
+    return Symbol(grid, np.fft.fftn(G, axes=freq).reshape(T.data.shape))
 
 
 def rank_one_symbol(f1: Signal, f2: Signal, A) -> Symbol:

@@ -189,6 +189,10 @@ def quantize_scheme(a: Symbol, spec: SchemeSpec) -> OperatorMatrix:
 # special functions
 
 
+# absolute error above which psi_alternating refuses its argument
+_ALTERNATING_ABS_TOL = 1e-10
+
+
 def _overflow(d: int, rho: float) -> InvalidParams:
     return InvalidParams(f"psi series for d={d} overflows at argument {rho}")
 
@@ -197,6 +201,7 @@ def _psi_series(d: int, rho: float, signed: bool) -> float:
     half = rho / 2.0
     total = 0.0
     term = 2.0 ** (-(d - 2) / 2.0)
+    biggest = term
     m = 0
     while True:
         total += (-term if (signed and m % 2) else term)
@@ -207,6 +212,12 @@ def _psi_series(d: int, rho: float, signed: bool) -> float:
         if m >= 10 and nxt < 1e-16 * max(abs(total), 1.0):
             break
         term = nxt
+        biggest = max(biggest, term)
+    # the alternating profile is bounded by its value 2^{-(d-2)/2} at 0, so
+    # rounding of the largest term bounds the absolute error of the sum
+    if signed and biggest * 2.0**-52 > _ALTERNATING_ABS_TOL:
+        raise InvalidParams(f"alternating psi series for d={d} loses all accuracy to "
+                            f"cancellation at argument {rho}")
     return total
 
 
@@ -239,7 +250,10 @@ def psi_alternating(d: int, rho: float) -> float:
     imaginary axis: cos(rho) for d=1, the oscillatory Bessel profile for
     d>1.  This is exactly what the direct Haar average of the transfer
     phase produces (see :func:`un_avg_multiplier`).  Raises InvalidParams
-    once the partial sums overflow."""
+    once the partial sums overflow, or once rounding of the largest term
+    (2^-52 times it) could exceed 1e-10: the terms cancel down to a value
+    bounded by the one at 0, so beyond that the sum has no accurate digit
+    left to trust (from rho of about 17 at d=2, 20 at d=4)."""
     _check_psi_args(d, rho)
     if d == 1:
         return math.cos(rho)
@@ -258,20 +272,19 @@ def psi0(d: int, r: float) -> float:
             raise _overflow(d, r) from None
     half = r / 2.0
     total = 0.0
-    c = 2.0 ** (-(d - 2) / 2.0)
+    # term m is 2^{-(d-2)/2} Gamma(d/2) 2 half^{2m+1} / ((2m+1) m! Gamma(m+d/2)),
+    # each from the previous one so that no power of half overflows alone
+    term = 2.0 ** (-(d - 2) / 2.0) * 2.0 * half
     m = 0
     while True:
-        try:
-            term = c * 2.0 * half ** (2 * m + 1) / (2 * m + 1)
-        except OverflowError:
-            raise _overflow(d, r) from None
         total += term
         if not math.isfinite(total):
             raise _overflow(d, r)
-        c = c / ((m + 1) * (m + d / 2.0))
+        nxt = term * (half * half * (2 * m + 1) / ((m + 1) * (m + d / 2.0) * (2 * m + 3)))
         m += 1
         if m >= 10 and abs(term) < 1e-16 * max(abs(total), 1.0):
             return total
+        term = nxt
 
 
 def un_avg_multiplier_grid(grid, r: float, angle_nodes: int = 64) -> np.ndarray:

@@ -136,6 +136,11 @@ def _c_transfer_composition(ctx):
     return worst
 
 
+def _multiplier_route(a, A):
+    """Op_A(a) as Op_0(T_A a), independent of the kernel formula."""
+    return quantize(symbol_transfer(a, A), MatrixParam.zero(a.grid.d)).data
+
+
 @check("kernel_route_mod", "calculus",
        "kernel formula == multiplier route, integer A in {0,1,-1}, mode mod", 1e-12)
 def _c_kernel_route_mod(ctx):
@@ -146,7 +151,7 @@ def _c_kernel_route_mod(ctx):
         A = MatrixParam.scalar(t, ctx.d)
         for _ in range(5):
             a = _unit_symbol(grid, rng)
-            worst = max(worst, float(np.abs(kernel_route(a, A).data - quantize(a, A).data).max()))
+            worst = max(worst, float(np.abs(kernel_route(a, A).data - _multiplier_route(a, A)).max()))
     return worst
 
 
@@ -160,7 +165,7 @@ def _c_kernel_route_real(ctx):
         A = MatrixParam.scalar(t, ctx.d)
         for _ in range(3):
             a = _unit_symbol(grid, rng)
-            worst = max(worst, float(np.abs(kernel_route(a, A).data - quantize(a, A).data).max()))
+            worst = max(worst, float(np.abs(kernel_route(a, A).data - _multiplier_route(a, A)).max()))
     return worst
 
 

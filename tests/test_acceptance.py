@@ -94,7 +94,8 @@ def test_c02_route_equivalence():
         grid = GridSpec(d, n, "mod")
         for t in (0, 1, -1):
             a = _unit_symbol(grid, rng)
-            dev = float(np.abs(kernel_route(a, t).data - quantize(a, t).data).max())
+            multiplier = quantize(symbol_transfer(a, t), 0).data  # Op_0(T_A a)
+            dev = float(np.abs(kernel_route(a, t).data - multiplier).max())
             worst = max(worst, dev)
             assert dev <= 1e-12
     _ok(2, "kernel route equals multiplier route", f"worst dev {worst:.2e}")

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from psdo import GridSpec, Signal, Symbol, dft, idft, partial_dft, frac_shift, gaussian_window, rep
 from psdo.errors import DimMismatch, InvalidParams
+from psdo.grid import CACHE_SIZE, _coords, _rel_index, rel_index, rep_axis
 
 from reference import naive_dft
 
@@ -146,3 +147,12 @@ def test_gaussian_window_normalized():
         idx = (-np.arange(g.size)) % g.size if d == 1 else None
         if d == 1:
             np.testing.assert_allclose(w.data, w.data[idx], atol=1e-15)
+
+
+def test_index_caches_are_bounded():
+    for n in range(1, 2 * CACHE_SIZE + 20, 2):
+        rel_index(GridSpec(1, n))
+        rep_axis(n)
+    for cached in (rep_axis, _coords, _rel_index):
+        assert cached.cache_info().currsize <= CACHE_SIZE
+    assert _rel_index.cache_info().currsize == CACHE_SIZE

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,12 +135,20 @@ def test_kernel_route_equals_quantize_real(rng):
 
 
 def test_kernel_route_2d_matrix_param(rng):
+    # quantize against both oracles: the dense-phase kernel route and the
+    # multiplier route Op_0(T_A a)
     for mode, A in (("mod", [[1, 2], [0, 1]]),
+                    ("mod", [[0, -1], [3, 2]]),
                     ("real", [[1, 2], [0, 1]]),
-                    ("real", [[0.3, -0.7], [0.25, 0.5]])):
+                    ("real", [[0.3, -0.7], [0.25, 0.5]]),
+                    ("real", [[1.1, 0.2], [-0.4, 0.0]]),
+                    ("real", 0.37)):
         g = GridSpec(2, 5, mode)
         a = Symbol.random(g, rng)
-        dev = np.abs(kernel_route(a, A).data - quantize(a, A).data).max()
+        K = quantize(a, A).data
+        dev = np.abs(kernel_route(a, A).data - K).max()
+        assert dev <= 1e-12 * a.norm(), (mode, A)
+        dev = np.abs(quantize(symbol_transfer(a, A), 0.0).data - K).max()
         assert dev <= 1e-12 * a.norm(), (mode, A)
 
 
@@ -156,9 +167,10 @@ def test_dequantize_identity_and_diagonal(grid9):
 
 
 def test_dequantize_roundtrip(rng, grid9):
-    a = Symbol.random(grid9, rng)
-    back = dequantize(quantize(a, 0.37), 0.37)
-    assert np.abs(back.data - a.data).max() <= 1e-12 * a.norm()
+    for g, A in ((grid9, 0.37), (GridSpec(2, 5), [[0.3, -0.7], [0.25, 0.5]])):
+        a = Symbol.random(g, rng)
+        back = dequantize(quantize(a, A), A)
+        assert np.abs(back.data - a.data).max() <= 1e-12 * a.norm()
 
 
 def test_transfer_composition_property(rng):
@@ -249,3 +261,32 @@ def test_rank_one_bilinearity(rng, grid9):
     a1 = rank_one_symbol(Signal(grid9, 2.0 * f1.data), f2, 0.37).data
     a2 = rank_one_symbol(f1, f2, 0.37).data
     np.testing.assert_allclose(a1, 2.0 * a2, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_scalar_param_rejects_non_finite_without_warning(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams):
+            as_matrix_param(t, 2)
+        with pytest.raises(InvalidParams):
+            MatrixParam.scalar(t, 3)
+
+
+@pytest.mark.parametrize("A, passes", [(0.0, 1), (0.37, 3), ([[0.3, -0.7], [0.25, 0.5]], 3)])
+def test_quantize_and_dequantize_fft_passes(monkeypatch, rng, A, passes):
+    g = GridSpec(2, 5)
+    a = Symbol.random(g, rng)
+    T = OperatorMatrix(g, a.data)
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    quantize(a, A)
+    assert len(calls) == passes
+    calls.clear()
+    dequantize(T, A)
+    assert len(calls) == passes

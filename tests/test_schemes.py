@@ -221,3 +221,33 @@ def test_un_avg_time_quadrature(rng, grid9):
     want = sum(wi / r * quantize_scheme(a, SchemeSpec("un_avg", {"r": ti})).data
                for ti, wi in zip(tt, ww))
     assert np.abs(got - want).max() <= 1e-12 * a.norm()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_psi0_large_r_is_finite_and_accurate(d):
+    # the recurrence between consecutive terms never forms half ** (2m+1),
+    # which used to overflow from r ~ 100 although psi0 itself is finite
+    sp = pytest.importorskip("scipy.special")
+    integrate = pytest.importorskip("scipy.integrate")
+    nu = d / 2 - 1
+    for r in (100.0, 300.0, 600.0):
+        value = psi0(d, r)
+        assert math.isfinite(value)
+        # psi_d(x) = Gamma(d/2) 2^{-nu} (x/2)^{-nu} I_nu(x), integrated with
+        # the e^x growth scaled out
+        scaled, _ = integrate.quad(
+            lambda x: math.gamma(d / 2) * 2**-nu * (x / 2) ** -nu * sp.ive(nu, x) * math.exp(x - r),
+            0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert value == pytest.approx(scaled * math.exp(r), rel=1e-12)
+
+
+def test_psi_alternating_refuses_cancellation():
+    # the alternating series summed to 2351 at rho = 50, where J_0(50) = 0.0558
+    with pytest.raises(InvalidParams):
+        psi_alternating(2, 50.0)
+
+
+def test_psi_alternating_matches_bessel_j0():
+    sp = pytest.importorskip("scipy.special")
+    for rho in (0.0, 0.5, 2.4048, 5.0, 10.0):
+        assert abs(psi_alternating(2, rho) - sp.j0(rho)) <= 1e-12
