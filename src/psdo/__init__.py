@@ -22,6 +22,7 @@ from .quantizer import (
     symbol_transfer,
     quantize,
     kernel_route,
+    multiplier_route,
     dequantize,
     rank_one_symbol,
 )

@@ -4,7 +4,7 @@ products.
 The product is computed operationally (quantize, multiply, dequantize),
 which is exact in finite dimensions; the quantization-homomorphism
 property Op_A(a # b) = Op_A(a) Op_A(b) holds by construction and is
-cross-checked elsewhere through the independent kernel route.
+cross-checked in ``verify`` through the dense-phase kernel route.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .calculus import sharp
 from .errors import PsdoError, ValidationError
 from .grid import GridSpec, Signal, Symbol
 from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm
-from .quantizer import as_matrix_param, kernel_route, quantize, symbol_transfer
+from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_transfer
 from .schatten import schatten_norm
 from .schemes import SchemeSpec, quantize_scheme
 from .validation import validate
@@ -105,12 +105,12 @@ def _cmd_quantize(args):
     grid, inputs, params, _, out = _job_from_args(args, "quantize")
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
-    route = params.get("route", "multiplier")
-    if route not in ("multiplier", "kernel"):
-        raise ValidationError(f"route must be 'multiplier' or 'kernel', got {route!r}")
+    route = params.get("route", "kernel")
+    routes = {"kernel": quantize, "multiplier": multiplier_route}
+    if route not in routes:
+        raise ValidationError(f"route must be 'kernel' or 'multiplier', got {route!r}")
     A = _matrix_param(params, grid)
-    build = quantize if route == "multiplier" else kernel_route
-    K = build(a, A)
+    K = routes[route](a, A)
     write_array(out, K.data, grid)
     defect = float(np.abs(K.data - K.data.conj().T).max())
     _echo({"frobenius_norm": K.norm(), "hermiticity_defect": defect, "route": route})

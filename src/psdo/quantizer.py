@@ -7,8 +7,8 @@ unitary symbol automorphism:
   e^{2i pi <j-j', k>/n};
 * the transfer T_A multiplies the two-block DFT ahat(kappa, mu) of a
   symbol by e^{2i pi <A m, c>/n} with c, m the centered representatives
-  of kappa, mu ("real" mode) or by the mod-n reduced integer phase
-  ("mod" mode).
+  of kappa, mu.  The phase is n-periodic in each entry of A; for integer
+  A ("mod" mode) it is the exact mod-n reduced integer phase.
 
 Op_A(a) is defined as Op_0(T_A a).  The kernel formula
 K[j, j'] = n^{-d/2} (F2^{-1} a)(j - A u, u), u = j - j', reproduces it
@@ -19,9 +19,10 @@ A this is the exact cyclic shift.
 
 Production :func:`quantize` and :func:`dequantize` run the kernel formula
 in 3 FFT passes (1 at A = 0), with the phase built from one n x n factor
-per non-zero entry of A.  The multiplier route Op_0(T_A a), i.e.
-``quantize(symbol_transfer(a, A), 0)``, is the independent oracle that
-``verify`` checks :func:`kernel_route` against.
+per non-zero entry of A.  :func:`kernel_route` evaluates the same formula
+with a dense N x N phase and unitary partial DFTs, which checks the
+factored phase.  The independent oracle is :func:`multiplier_route`,
+Op_0(T_A a) = ``quantize(symbol_transfer(a, A), 0)``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .grid import (
     Signal,
     Symbol,
     OperatorMatrix,
-    index_coords,
     rep_axis,
     rep_coords,
     rel_index,
@@ -50,6 +50,7 @@ __all__ = [
     "symbol_transfer",
     "quantize",
     "kernel_route",
+    "multiplier_route",
     "dequantize",
     "rank_one_symbol",
 ]
@@ -120,27 +121,25 @@ def _require_mode(grid: GridSpec, A: MatrixParam):
         raise ModeMismatch("mode 'mod' requires an integer matrix parameter")
 
 
-def _mod_transfer_phase(grid: GridSpec, A: MatrixParam) -> np.ndarray:
-    """(N, N) multiplier over (kappa, mu) of T_A in mode "mod": the mod-n
-    reduced integer phase."""
-    n = grid.n
-    Aint = np.round(A.entries).astype(np.int64) % n
-    c = index_coords(grid).astype(np.int64)
-    dot = np.einsum("ci,ij,mj->cm", c, Aint, c) % n
-    return np.exp(2j * np.pi * dot / n)
-
-
 def _apply_phase(X, grid: GridSpec, A: MatrixParam, sign: int):
     """Multiply X, shaped (n,)*2d over (k, u), in place by
     e^{sign 2i pi <rep k, A rep u>/n}: one broadcast n x n factor
-    e^{sign 2i pi rep(k_i) A_ij rep(u_j)/n} per non-zero entry A_ij."""
+    e^{sign 2i pi rep(k_i) A_ij rep(u_j)/n} per entry A_ij that is non-zero
+    mod n.  The factor is n-periodic in A_ij, so A_ij is first reduced to
+    its centered residue mod n; an integer residue gives the exact integer
+    phase (rep(k_i) A_ij rep(u_j) mod n)."""
     n, d = grid.n, grid.d
-    r = rep_axis(n).astype(float)
-    rr = np.multiply.outer(r, r) * (sign * 2.0 * np.pi / n)
+    r = rep_axis(n)
+    rr = np.multiply.outer(r, r)
     for i, j in zip(*np.nonzero(A.entries)):
+        t = np.fmod(A.entries[i, j], n)
+        t -= n * np.round(t / n)
+        if t == 0:
+            continue
+        arg = (int(t) * rr) % n if t == np.round(t) else t * rr
         shape = [1] * (2 * d)
         shape[i] = shape[d + j] = n
-        X *= np.exp(1j * A.entries[i, j] * rr).reshape(shape)
+        X *= np.exp((sign * 2j * np.pi / n) * arg).reshape(shape)
 
 
 def _translate_columns(G, grid: GridSpec, A: MatrixParam, sign: int):
@@ -173,10 +172,7 @@ def symbol_transfer(a: Symbol, A) -> Symbol:
         return a
     shape = (grid.n,) * (2 * grid.d)
     ahat = np.fft.fftn(a.data.reshape(shape))
-    if grid.mode == "mod":
-        ahat *= _mod_transfer_phase(grid, A).reshape(shape)
-    else:
-        _apply_phase(ahat, grid, A, 1)
+    _apply_phase(ahat, grid, A, 1)
     return Symbol(grid, np.fft.ifftn(ahat).reshape(a.data.shape))
 
 
@@ -199,9 +195,18 @@ def quantize(a: Symbol, A) -> OperatorMatrix:
     return OperatorMatrix(grid, K)
 
 
+def multiplier_route(a: Symbol, A) -> OperatorMatrix:
+    """Op_A(a) as Op_0(T_A a): the transfer, then the A = 0 kernel formula
+    (no translation).  The construction independent of the kernel formula,
+    against which :func:`quantize` and :func:`kernel_route` are checked."""
+    return quantize(symbol_transfer(a, A), MatrixParam.zero(a.grid.d))
+
+
 def kernel_route(a: Symbol, A) -> OperatorMatrix:
-    """Op_A(a) through the kernel formula; independent cross-check of
-    :func:`quantize`, with which it agrees to fp roundoff.
+    """Op_A(a) through the kernel formula with a dense N x N phase and
+    unitary partial DFTs: the formula of :func:`quantize` evaluated without
+    its factored phase or raw FFT passes, to cross-check them.  It agrees
+    with :func:`quantize` to fp roundoff.
 
     Column u of G = n^{-d/2} F2^{-1} a is translated by A rep(u) through
     trigonometric interpolation over the position block (DFT, phase

@@ -33,6 +33,7 @@ from .quantizer import (
     MatrixParam,
     quantize,
     kernel_route,
+    multiplier_route,
     dequantize,
     symbol_transfer,
     _full_dft2,
@@ -136,13 +137,15 @@ def _c_transfer_composition(ctx):
     return worst
 
 
-def _multiplier_route(a, A):
-    """Op_A(a) as Op_0(T_A a), independent of the kernel formula."""
-    return quantize(symbol_transfer(a, A), MatrixParam.zero(a.grid.d)).data
+def _kernel_formula_dev(a, A):
+    """Max deviation of both kernel-formula evaluations, :func:`quantize`
+    and :func:`kernel_route`, from the multiplier route Op_0(T_A a)."""
+    ref = multiplier_route(a, A).data
+    return max(float(np.abs(K.data - ref).max()) for K in (quantize(a, A), kernel_route(a, A)))
 
 
 @check("kernel_route_mod", "calculus",
-       "kernel formula == multiplier route, integer A in {0,1,-1}, mode mod", 1e-12)
+       "kernel formula (quantize, kernel_route) == multiplier route, integer A in {0,1,-1}, mode mod", 1e-12)
 def _c_kernel_route_mod(ctx):
     grid = ctx.grid("mod")
     rng = ctx.rng("kernel_route_mod")
@@ -151,12 +154,12 @@ def _c_kernel_route_mod(ctx):
         A = MatrixParam.scalar(t, ctx.d)
         for _ in range(5):
             a = _unit_symbol(grid, rng)
-            worst = max(worst, float(np.abs(kernel_route(a, A).data - _multiplier_route(a, A)).max()))
+            worst = max(worst, _kernel_formula_dev(a, A))
     return worst
 
 
 @check("kernel_route_real", "calculus",
-       "kernel formula (interpolated) == multiplier route, real A", 1e-12)
+       "kernel formula (quantize, kernel_route; interpolated) == multiplier route, real A", 1e-12)
 def _c_kernel_route_real(ctx):
     grid = ctx.grid("real")
     rng = ctx.rng("kernel_route_real")
@@ -165,7 +168,7 @@ def _c_kernel_route_real(ctx):
         A = MatrixParam.scalar(t, ctx.d)
         for _ in range(3):
             a = _unit_symbol(grid, rng)
-            worst = max(worst, float(np.abs(kernel_route(a, A).data - _multiplier_route(a, A)).max()))
+            worst = max(worst, _kernel_formula_dev(a, A))
     return worst
 
 
@@ -290,7 +293,7 @@ def _c_sharp_transfer(ctx):
 
 
 @check("sharp_homomorphism", "calculus",
-       "Op_A(a #_A b) == Op_A(a) Op_A(b), Op through the independent kernel route", 1e-11)
+       "Op_A(a #_A b) == Op_A(a) Op_A(b), Op through the dense-phase kernel route", 1e-11)
 def _c_sharp_homomorphism(ctx):
     grid = ctx.grid("mod")
     rng = ctx.rng("sharp_homomorphism")

@@ -47,14 +47,17 @@ def test_quantize_weyl_hermiticity_reported(tmp_path, capsys, rng):
 
 
 def test_quantize_kernel_route(tmp_path, capsys, rng):
+    # the default route "kernel" runs quantize; "multiplier" runs the
+    # independent Op_0(T_A a) construction, and each echoes its name
     apath = tmp_path / "a.bin"
     _write_symbol(apath, rng.standard_normal((9, 9)).astype(complex))
     outm, outk = tmp_path / "Km.bin", tmp_path / "Kk.bin"
     code, stdout, _ = run_cli(capsys, "quantize", "--input", f"a={apath}",
-                              "--params", '{"A": [0.37], "route": "kernel"}', "--out", str(outk))
+                              "--params", '{"A": [0.37], "route": "multiplier"}', "--out", str(outm))
+    assert code == 0 and json.loads(stdout)["route"] == "multiplier"
+    code, stdout, _ = run_cli(capsys, "quantize", "--input", f"a={apath}",
+                              "--params", '{"A": [0.37]}', "--out", str(outk))
     assert code == 0 and json.loads(stdout)["route"] == "kernel"
-    assert run_cli(capsys, "quantize", "--input", f"a={apath}",
-                   "--params", '{"A": [0.37]}', "--out", str(outm))[0] == 0
     Km, _ = read_array(outm)
     Kk, _ = read_array(outk)
     assert np.abs(Km - Kk).max() <= 1e-12 * np.linalg.norm(Km)

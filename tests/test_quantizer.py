@@ -14,6 +14,7 @@ from psdo import (
     OperatorMatrix,
     quantize,
     kernel_route,
+    multiplier_route,
     dequantize,
     symbol_transfer,
     rank_one_symbol,
@@ -126,6 +127,34 @@ def test_kernel_route_equals_quantize_mod(rng):
         assert dev <= 1e-12 * a.norm()
 
 
+@pytest.mark.parametrize("d, n, A, shift", [
+    (1, 33, [[3]], [[1]]),
+    (1, 9, [[-4]], [[-1]]),
+    (2, 5, [[1, 2], [0, -1]], [[1, -2], [3, 1]]),
+])
+def test_integer_param_reduced_mod_n(rng, d, n, A, shift):
+    # in mode mod only A mod n matters: A and A + k n S give the same
+    # operator, symbol transfer and inverse, also for k far beyond n
+    g = GridSpec(d, n, "mod")
+    a = Symbol.random(g, rng)
+    T = OperatorMatrix(g, Symbol.random(g, rng).data)
+    big = np.asarray(A) + 10**6 * n * np.asarray(shift)
+    K = quantize(a, A).data
+    for got, want in ((quantize(a, big).data, K),
+                      (multiplier_route(a, big).data, K),
+                      (dequantize(T, big).data, dequantize(T, A).data),
+                      (symbol_transfer(a, big).data, symbol_transfer(a, A).data)):
+        assert np.abs(got - want).max() <= 1e-12 * a.norm()
+
+
+def test_huge_integer_param_reduced_mod_n(rng):
+    # 2**60 is an exact float far beyond int64 products with rep(k) rep(u)
+    g = GridSpec(1, 33, "mod")
+    a = Symbol.random(g, rng)
+    dev = np.abs(quantize(a, 2.0**60).data - quantize(a, pow(2, 60, 33)).data).max()
+    assert dev <= 1e-12 * a.norm()
+
+
 def test_kernel_route_equals_quantize_real(rng):
     g = GridSpec(1, 9)
     for t in (0.0, 0.5, 0.37, -0.2):
@@ -148,7 +177,7 @@ def test_kernel_route_2d_matrix_param(rng):
         K = quantize(a, A).data
         dev = np.abs(kernel_route(a, A).data - K).max()
         assert dev <= 1e-12 * a.norm(), (mode, A)
-        dev = np.abs(quantize(symbol_transfer(a, A), 0.0).data - K).max()
+        dev = np.abs(multiplier_route(a, A).data - K).max()
         assert dev <= 1e-12 * a.norm(), (mode, A)
 
 
