@@ -8,7 +8,12 @@ Conventions fixed here and relied on everywhere else:
 * the DFT is unitary, (Ff)(k) = n^{-d/2} sum_j f(j) e^{-2i pi <j,k>/n},
   so the plane-wave kernel e^{i<x-y,xi>} becomes the exact DFT character;
 * n is odd, making centered representatives unambiguous and 2 invertible
-  mod n.
+  mod n;
+* every FFT writes into a C-contiguous buffer owned by the function that
+  runs it: the first pass writes into a fresh ``np.empty`` array (never
+  into the caller's array, which a ``Symbol`` or ``Signal`` may share with
+  its caller), and every later FFT pass, scale and phase works in place on
+  that buffer.
 """
 
 from __future__ import annotations
@@ -204,17 +209,27 @@ def flatten_coords(grid: GridSpec, coords: np.ndarray) -> np.ndarray:
     return (np.asarray(coords) % grid.n) @ weights
 
 
+def _fftn(x, axes=None, inverse=False):
+    """np.fft.fftn (ifftn if inverse) of x over axes, written into a fresh
+    C-contiguous complex buffer: the first axis pass reads x and writes the
+    buffer, every later pass runs in place on it, and x is never written."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    return (np.fft.ifftn if inverse else np.fft.fftn)(x, axes=axes, out=out)
+
+
 def dft(f: Signal) -> Signal:
     """Unitary DFT: (Ff)(k) = n^{-d/2} sum_j f(j) e^{-2i pi <j,k>/n}."""
     g = f.grid
-    out = np.fft.fftn(f.data.reshape(g.shape)) / np.sqrt(g.size)
+    out = _fftn(f.data.reshape(g.shape))
+    out /= np.sqrt(g.size)
     return Signal(g, out.ravel())
 
 
 def idft(f: Signal) -> Signal:
     """Inverse of :func:`dft`; exact roundtrip up to fp roundoff."""
     g = f.grid
-    out = np.fft.ifftn(f.data.reshape(g.shape)) * np.sqrt(g.size)
+    out = _fftn(f.data.reshape(g.shape), inverse=True)
+    out *= np.sqrt(g.size)
     return Signal(g, out.ravel())
 
 
@@ -227,15 +242,14 @@ def _block_axes(d, block):
 
 
 def _partial_dft_core(arr2, grid, block, inverse=False):
-    """Unitary DFT of an (N, N) two-block array along one index block."""
+    """Unitary DFT of an (N, N) two-block array along one index block, into
+    a fresh buffer."""
     n, d = grid.n, grid.d
-    shaped = arr2.reshape((n,) * (2 * d))
-    axes = _block_axes(d, block)
-    scale = np.sqrt(grid.size)
+    out = _fftn(arr2.reshape((n,) * (2 * d)), _block_axes(d, block), inverse)
     if inverse:
-        out = np.fft.ifftn(shaped, axes=axes) * scale
+        out *= np.sqrt(grid.size)
     else:
-        out = np.fft.fftn(shaped, axes=axes) / scale
+        out /= np.sqrt(grid.size)
     return out.reshape(arr2.shape)
 
 
@@ -261,13 +275,12 @@ def frac_shift(f: Signal, s) -> Signal:
     grid = f.grid
     n = grid.n
     s = np.broadcast_to(np.asarray(s, dtype=float), (grid.d,))
-    fhat = np.fft.fftn(f.data.reshape(grid.shape))
+    fhat = _fftn(f.data.reshape(grid.shape))
     for axis in range(grid.d):
         shape = [1] * grid.d
         shape[axis] = n
-        phase = np.exp(-2j * np.pi * rep_axis(n) * s[axis] / n).reshape(shape)
-        fhat = fhat * phase
-    return Signal(grid, np.fft.ifftn(fhat).ravel())
+        fhat *= np.exp(-2j * np.pi * rep_axis(n) * s[axis] / n).reshape(shape)
+    return Signal(grid, np.fft.ifftn(fhat, out=fhat).ravel())
 
 
 def gaussian_window(grid: GridSpec) -> Signal:

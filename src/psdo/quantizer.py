@@ -18,9 +18,9 @@ displacement A u taken at the centered representative of u; for integer
 A this is the exact cyclic shift.
 
 Production :func:`quantize` and :func:`dequantize` run the kernel formula
-in 3 FFT passes (1 at A = 0), with the phase built from one n x n factor
-per non-zero entry of A.  :func:`kernel_route` evaluates the same formula
-with a dense N x N phase and unitary partial DFTs, which checks the
+in 3 FFT passes (1 at A = 0), all on one buffer, with the phase applied as
+one broadcast table per row of A.  :func:`kernel_route` evaluates the same
+formula with a dense N x N phase and unitary partial DFTs, which checks the
 factored phase.  The independent oracle is :func:`multiplier_route`,
 Op_0(T_A a) = ``quantize(symbol_transfer(a, A), 0)``.
 """
@@ -41,6 +41,7 @@ from .grid import (
     rep_coords,
     rel_index,
     _block_axes,
+    _fftn,
     _partial_dft_core,
 )
 
@@ -123,40 +124,53 @@ def _require_mode(grid: GridSpec, A: MatrixParam):
 
 def _apply_phase(X, grid: GridSpec, A: MatrixParam, sign: int):
     """Multiply X, shaped (n,)*2d over (k, u), in place by
-    e^{sign 2i pi <rep k, A rep u>/n}: one broadcast n x n factor
-    e^{sign 2i pi rep(k_i) A_ij rep(u_j)/n} per entry A_ij that is non-zero
-    mod n.  The factor is n-periodic in A_ij, so A_ij is first reduced to
-    its centered residue mod n; an integer residue gives the exact integer
-    phase (rep(k_i) A_ij rep(u_j) mod n)."""
+    e^{sign 2i pi <rep k, A rep u>/n}, one broadcast table over (k_i, u)
+    per row i of A, so at most d multiplies of X.  Row i's table is the
+    product of the n x n factors e^{sign 2i pi rep(k_i) A_ij rep(u_j)/n}
+    of its entries that are non-zero mod n.  The factor is n-periodic in
+    A_ij, so A_ij is first reduced to its centered residue mod n; an
+    integer residue gives the exact integer phase
+    (rep(k_i) A_ij rep(u_j) mod n)."""
     n, d = grid.n, grid.d
     r = rep_axis(n)
     rr = np.multiply.outer(r, r)
-    for i, j in zip(*np.nonzero(A.entries)):
-        t = np.fmod(A.entries[i, j], n)
-        t -= n * np.round(t / n)
-        if t == 0:
-            continue
-        arg = (int(t) * rr) % n if t == np.round(t) else t * rr
-        shape = [1] * (2 * d)
-        shape[i] = shape[d + j] = n
-        X *= np.exp((sign * 2j * np.pi / n) * arg).reshape(shape)
+    t = np.fmod(A.entries, n)
+    t -= n * np.round(t / n)
+    for i in range(d):
+        table = None
+        for j in np.flatnonzero(t[i]):
+            shape = [1] * (2 * d)
+            shape[i] = shape[d + j] = n
+            tij = t[i, j]
+            arg = (int(tij) * rr) % n if tij == np.round(tij) else tij * rr
+            factor = np.exp((sign * 2j * np.pi / n) * arg).reshape(shape)
+            table = factor if table is None else table * factor
+        if table is not None:
+            X *= table
 
 
 def _translate_columns(G, grid: GridSpec, A: MatrixParam, sign: int):
-    """Translate column u of G, shaped (n,)*2d over (j, u), by -sign A rep(u)
-    along the position block: block-1 FFT, phase, block-1 inverse FFT
-    (trigonometric interpolation, the exact cyclic shift for integer A)."""
+    """Translate, in place, column u of G, shaped (n,)*2d over (j, u), by
+    -sign A rep(u) along the position block: block-1 FFT, phase, block-1
+    inverse FFT (trigonometric interpolation, the exact cyclic shift for
+    integer A)."""
     if not A.entries.any():
-        return G
+        return
     pos = _block_axes(grid.d, 1)
-    G = np.fft.fftn(G, axes=pos)
+    np.fft.fftn(G, axes=pos, out=G)
     _apply_phase(G, grid, A, sign)
-    return np.fft.ifftn(G, axes=pos)
+    np.fft.ifftn(G, axes=pos, out=G)
 
 
 def _full_dft2(arr2, grid, inverse=False):
-    out = _partial_dft_core(arr2, grid, 1, inverse)
-    return _partial_dft_core(out, grid, 2, inverse)
+    """Unitary DFT of an (N, N) array over both index blocks: one full FFT
+    into a fresh buffer, scaled once."""
+    out = _fftn(arr2.reshape((grid.n,) * (2 * grid.d)), inverse=inverse)
+    if inverse:
+        out *= grid.size
+    else:
+        out /= grid.size
+    return out.reshape(arr2.shape)
 
 
 def symbol_transfer(a: Symbol, A) -> Symbol:
@@ -170,10 +184,9 @@ def symbol_transfer(a: Symbol, A) -> Symbol:
     _require_mode(grid, A)
     if not A.entries.any():  # T_0 is the identity, exactly
         return a
-    shape = (grid.n,) * (2 * grid.d)
-    ahat = np.fft.fftn(a.data.reshape(shape))
+    ahat = _fftn(a.data.reshape((grid.n,) * (2 * grid.d)))
     _apply_phase(ahat, grid, A, 1)
-    return Symbol(grid, np.fft.ifftn(ahat).reshape(a.data.shape))
+    return Symbol(grid, np.fft.ifftn(ahat, out=ahat).reshape(a.data.shape))
 
 
 def quantize(a: Symbol, A) -> OperatorMatrix:
@@ -188,8 +201,8 @@ def quantize(a: Symbol, A) -> OperatorMatrix:
     A = as_matrix_param(A, grid.d)
     _require_mode(grid, A)
     freq = _block_axes(grid.d, 2)
-    G = np.fft.ifftn(a.data.reshape((grid.n,) * (2 * grid.d)), axes=freq)
-    G = _translate_columns(G, grid, A, -1)
+    G = _fftn(a.data.reshape((grid.n,) * (2 * grid.d)), freq, inverse=True)
+    _translate_columns(G, grid, A, -1)
     K = np.empty(a.data.shape, dtype=np.complex128)
     np.put_along_axis(K, rel_index(grid), G.reshape(K.shape), axis=1)
     return OperatorMatrix(grid, K)
@@ -216,10 +229,12 @@ def kernel_route(a: Symbol, A) -> OperatorMatrix:
     grid = a.grid
     A = as_matrix_param(A, grid.d)
     _require_mode(grid, A)
-    G = _partial_dft_core(a.data, grid, 2, inverse=True) / np.sqrt(grid.size)
+    G = _partial_dft_core(a.data, grid, 2, inverse=True)
+    G /= np.sqrt(grid.size)
     reps = rep_coords(grid).astype(float)
-    phase = np.exp(-2j * np.pi * np.einsum("ki,ij,uj->ku", reps, A.entries, reps) / grid.n)
-    cols = _partial_dft_core(_partial_dft_core(G, grid, 1) * phase, grid, 1, inverse=True)
+    Ghat = _partial_dft_core(G, grid, 1)
+    Ghat *= np.exp(-2j * np.pi * np.einsum("ki,ij,uj->ku", reps, A.entries, reps) / grid.n)
+    cols = _partial_dft_core(Ghat, grid, 1, inverse=True)
     K = np.empty_like(cols)
     np.put_along_axis(K, rel_index(grid), cols, axis=1)
     return OperatorMatrix(grid, K)
@@ -236,9 +251,10 @@ def dequantize(T: OperatorMatrix, A) -> Symbol:
     A = as_matrix_param(A, grid.d)
     _require_mode(grid, A)
     freq = _block_axes(grid.d, 2)
+    # the gather is a fresh C-contiguous buffer, so every pass runs in place
     G = np.take_along_axis(T.data, rel_index(grid), axis=1).reshape((grid.n,) * (2 * grid.d))
-    G = _translate_columns(G, grid, A, 1)
-    return Symbol(grid, np.fft.fftn(G, axes=freq).reshape(T.data.shape))
+    _translate_columns(G, grid, A, 1)
+    return Symbol(grid, np.fft.fftn(G, axes=freq, out=G).reshape(T.data.shape))
 
 
 def rank_one_symbol(f1: Signal, f2: Signal, A) -> Symbol:

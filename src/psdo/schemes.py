@@ -103,7 +103,8 @@ def _bj_closed_form(a: Symbol) -> OperatorMatrix:
     reps = rep_coords(grid).astype(float)
     theta = 2.0 * np.pi * (reps @ reps.T) / grid.n  # <rep(mu), rep(kappa)> over (kappa, mu)
     ahat = _full_dft2(a.data, grid)
-    smoothed = _full_dft2(ahat * bj_multiplier(theta), grid, inverse=True)
+    ahat *= bj_multiplier(theta)
+    smoothed = _full_dft2(ahat, grid, inverse=True)
     return quantize(Symbol(grid, smoothed), MatrixParam.weyl(grid.d))
 
 

@@ -69,6 +69,13 @@ class SkipCheck(Exception):
     pass
 
 
+def _require_dense_4d(grid):
+    """Skip the check when its dense (N, N, N, N) array exceeds FOURD_LIMIT."""
+    entries = grid.size**4
+    if entries > FOURD_LIMIT:
+        raise SkipCheck(f"dense 4d array would have {entries} entries (cap {FOURD_LIMIT})")
+
+
 @dataclass
 class CheckDef:
     name: str
@@ -437,8 +444,7 @@ def _w_stft_of_wigner(ctx):
        "transfer/STFT commutation at A = 0 is an exact identity (deviation 0.0)", 0.0)
 def _w_expop_zero(ctx):
     grid = ctx.grid("mod")
-    if grid.size**4 > FOURD_LIMIT:
-        raise SkipCheck("dense 4d array exceeds cap at this grid")
+    _require_dense_4d(grid)
     rng = ctx.rng("expop_stft_zero")
     a = _unit_symbol(grid, rng)
     phi = _unit_symbol(grid, rng)
@@ -449,8 +455,7 @@ def _w_expop_zero(ctx):
        "V_{T_A phi}(T_A a)(x,xi,eta,y) == e^{2i pi <Ay,eta>/n} V_phi a(x+Ay, xi+A*eta, eta, y)", 1e-10)
 def _w_expop(ctx):
     grid = ctx.grid("mod")
-    if grid.size**4 > FOURD_LIMIT:
-        raise SkipCheck("dense 4d array exceeds cap at this grid")
+    _require_dense_4d(grid)
     rng = ctx.rng("expop_stft")
     worst = 0.0
     for t in (1, -1):
@@ -481,8 +486,7 @@ def _m_modnorm_l2(ctx):
        "symbol M^{2,2} norm with unit window == Frobenius norm", 1e-12)
 def _m_symbol_modnorm_l2(ctx):
     grid = ctx.grid("real")
-    if grid.size**4 > FOURD_LIMIT:
-        raise SkipCheck("dense 4d array exceeds cap at this grid")
+    _require_dense_4d(grid)
     rng = ctx.rng("symbol_modulation_norm_l2")
     a = Symbol.random(grid, rng)
     val = ms.symbol_modulation_norm(a, MixedNormParams(2, 2))
@@ -725,8 +729,7 @@ def _s_unitary_invariance(ctx):
        "M^{1,1} >= s_{A,2} >= (scaled) M^{inf,inf} ordering; reports worst ratios", None)
 def _s_embedding_ratios(ctx):
     grid = ctx.grid("real")
-    if grid.size**4 > FOURD_LIMIT:
-        raise SkipCheck("dense 4d array exceeds cap at this grid")
+    _require_dense_4d(grid)
     rng = ctx.rng("schatten_embedding_ratios")
     A = MatrixParam.weyl(ctx.d)
     draws = 20 if ctx.n <= 17 else 5
@@ -795,7 +798,8 @@ def _q_un_multiplier(ctx):
         direct = quantize_scheme(a, SchemeSpec("un_avg", {"r": r})).data
         mult = sch.un_avg_multiplier_grid(grid, r)
         ahat = _full_dft2(a.data, grid)
-        smoothed = Symbol(grid, _full_dft2(ahat * mult, grid, inverse=True))
+        ahat *= mult
+        smoothed = Symbol(grid, _full_dft2(ahat, grid, inverse=True))
         routed = quantize(smoothed, MatrixParam.weyl(ctx.d)).data
         worst = max(worst, float(np.abs(direct - routed).max()))
     return worst
@@ -982,8 +986,9 @@ def format_table(report: dict) -> str:
         status = "SKIP" if r["skipped"] else ("pass" if r["passed"] else "FAIL")
         if r["tolerance"] is None and not r["skipped"]:
             status = "report"
-        lines.append(f"{r['name']:34} {r['suite']:9} {_fmt(r['measure']):>10} "
-                     f"{_fmt(r['tolerance']):>10}  {status}")
+        line = (f"{r['name']:34} {r['suite']:9} {_fmt(r['measure']):>10} "
+                f"{_fmt(r['tolerance']):>10}  {status}")
+        lines.append(f"{line}: {r['note']}" if r["skipped"] else line)
     tally = sum(1 for r in report["checks"] if r["passed"])
     lines.append(f"{tally}/{len(report['checks'])} checks passed")
     return "\n".join(lines)

@@ -95,10 +95,9 @@ def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
     tiled = np.tile(np.conj(phi.data).reshape(grid.shape), (2,) * d)
     windows = sliding_window_view(tiled, grid.shape)[(slice(n, 0, -1),) * d]
     V = np.multiply(f.data.reshape(grid.shape), windows, order="C")
-    # one axis at a time, rebinding V, so that at most two arrays of this
-    # size are alive (a multi-axis fftn keeps its input alive throughout)
-    for axis in range(2 * d - 1, d - 1, -1):
-        V = np.fft.fftn(V, axes=(axis,))
+    # V is a fresh buffer, so the FFT over the frequency block runs in place
+    # and V is the only array of the output's size that is ever alive
+    np.fft.fftn(V, axes=tuple(range(d, 2 * d)), out=V)
     V /= np.sqrt(grid.size)
     return TimeFrequencyArray(grid, V.reshape(grid.size, grid.size), kind="stft")
 

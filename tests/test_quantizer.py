@@ -18,6 +18,14 @@ from psdo import (
     dequantize,
     symbol_transfer,
     rank_one_symbol,
+    dft,
+    idft,
+    frac_shift,
+    partial_dft,
+    stft,
+    sharp,
+    quantize_scheme,
+    SchemeSpec,
 )
 from psdo.quantizer import MatrixParam, as_matrix_param
 from psdo.errors import ModeMismatch, InvalidParams
@@ -319,3 +327,52 @@ def test_quantize_and_dequantize_fft_passes(monkeypatch, rng, A, passes):
     calls.clear()
     dequantize(T, A)
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("mode, A", [("real", [[0.3, -0.7], [0.25, 0.5]]),
+                                     ("mod", [[1, 2], [-3, 1]])])
+def test_transforms_leave_their_inputs_untouched(rng, mode, A):
+    # every FFT writes into a buffer of its own; Symbol, Signal and
+    # OperatorMatrix share the caller's array, so a pass that wrote into
+    # its input would change the caller's data
+    g = GridSpec(2, 5, mode)
+    N = g.size
+    owned = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(3)]
+    owned += [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(2)]
+    before = [x.copy() for x in owned]
+    a, b, t = Symbol(g, owned[0]), Symbol(g, owned[1]), OperatorMatrix(g, owned[2])
+    f, phi = Signal(g, owned[3]), Signal(g, owned[4])
+    for wrapped, x in zip((a, b, t, f, phi), owned):
+        assert np.shares_memory(wrapped.data, x)
+    quantize(a, A)
+    dequantize(t, A)
+    symbol_transfer(a, A)
+    kernel_route(a, A)
+    multiplier_route(a, A)
+    sharp(a, b, A)
+    for block in (1, 2):
+        for direction in ("fwd", "inv"):
+            partial_dft(a, block, direction)
+    stft(f, phi)
+    dft(f)
+    idft(f)
+    frac_shift(f, [0.3, -1.2])
+    if mode == "real":
+        quantize_scheme(a, SchemeSpec("born_jordan", {}))
+    for x, x0 in zip(owned, before):
+        assert x.tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("mode, A", [
+    ("real", [[0.3, -0.7, 1.4], [0.25, 0.5, -0.15], [-1.1, 0.6, 0.8]]),
+    ("mod", [[1, 2, -1], [2, 1, 4], [-1, 1, 2]]),
+])
+def test_quantize_d3_dense_matrix(rng, mode, A):
+    # every entry of A is non-zero mod 3, so each row folds 3 factors
+    g = GridSpec(3, 3, mode)
+    a = Symbol.random(g, rng)
+    K = quantize(a, A).data
+    for other in (kernel_route, multiplier_route):
+        assert np.abs(other(a, A).data - K).max() <= 1e-12 * a.norm(), other.__name__
+    back = dequantize(OperatorMatrix(g, K), A)
+    assert np.abs(back.data - a.data).max() <= 1e-12 * a.norm()
