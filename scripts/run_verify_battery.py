@@ -13,7 +13,7 @@ import time
 
 from psdo.verify import run_suite, format_table, report_to_json
 
-BATTERY = [(9, 1), (17, 1), (33, 1), (9, 2)]
+BATTERY = [(9, 1), (17, 1), (33, 1), (65, 1), (9, 2), (15, 2)]
 
 
 def main():

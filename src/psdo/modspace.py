@@ -26,12 +26,12 @@ from .errors import (
     DomainMismatch,
     InvalidExponent,
     InvalidParams,
+    SizeLimit,
     TooFewEntries,
-    ZeroWindow,
 )
 from .grid import GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords
 from .quantizer import as_matrix_param
-from .wigner import TimeFrequencyArray, stft, phase_space_stft
+from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _stft_columns
 
 __all__ = [
     "INF",
@@ -327,8 +327,6 @@ def modulation_norm(f: Signal, params: MixedNormParams, omega: Weight = None,
     """Mixed norm of the STFT; default window is the periodized Gaussian."""
     if phi is None:
         phi = gaussian_window(f.grid)
-    if not np.any(phi.data):
-        raise ZeroWindow("window is identically zero")
     return mixed_norm(stft(f, phi), params, omega)
 
 
@@ -337,24 +335,27 @@ def symbol_modulation_norm(a: Symbol, params: MixedNormParams, omega: Weight = N
     """Modulation norm of a symbol over the doubled grid.
 
     Inner p over the 2d position block (x, xi), outer q over the 2d
-    frequency block (eta, y), weighted by a 4-block weight.
+    frequency block (eta, y), weighted by a 4-block weight.  Streams the STFT
+    by frequency columns, one inner norm each; all N^4 entries are capped.
     """
     grid = a.grid
-    if Phi is None:
-        Phi = Symbol(grid, gaussian_window(doubled(grid)).data.reshape(grid.size, grid.size))
-    if not np.any(Phi.data):
-        raise ZeroWindow("window is identically zero")
-    V4 = phase_space_stft(a.data, Phi.data, grid)
     N = grid.size
+    if N**4 > FOURD_LIMIT:
+        raise SizeLimit(f"symbol norm reads all {N * N} STFT columns, {N**4} entries (cap {FOURD_LIMIT})")
+    if Phi is None:
+        Phi = Symbol(grid, gaussian_window(doubled(grid)).data.reshape(N, N))
     if omega is None:
         omega = trivial_weight(SYMBOL_AXES)
     if len(omega.axes) != 4:
         raise DomainMismatch(f"symbol norm needs a 4-block weight, got {len(omega.axes)} blocks")
-    if omega.kind == "polynomial" and omega.params == (0.0,):
-        weighted = np.abs(V4)
-    else:
-        weighted = np.abs(V4) * omega.sample(grid)
-    inner = lp_norm(weighted.reshape(N * N, N, N), params.p, axis=0)
+    trivial = omega.kind == "polynomial" and omega.params == (0.0,)
+    w = None if trivial else omega.sample(grid).reshape(N * N, N * N)  # (x, xi) by (eta, y)
+    inner = np.empty(N * N)
+    for k, V in _stft_columns(a.data, Phi.data, grid):
+        weighted = np.abs(V).reshape(len(k), N * N)
+        if w is not None:
+            weighted *= w[:, k].T
+        inner[k] = lp_norm(weighted, params.p, axis=1)
     return float(lp_norm(inner, params.q))
 
 

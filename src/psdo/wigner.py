@@ -20,9 +20,10 @@ from .grid import (
     Symbol,
     OperatorMatrix,
     index_coords,
-    rel_index,
     flatten_coords,
     doubled,
+    _coerce,
+    _fftn,
     _partial_dft_core,
 )
 from .quantizer import MatrixParam, as_matrix_param, dequantize, symbol_transfer, _require_mode
@@ -39,8 +40,12 @@ __all__ = [
     "expop_stft_check",
 ]
 
-# dense (N, N, N, N) arrays are only materialized below this entry count
+# dense (N, N, N, N) arrays are only materialized below this entry count; above
+# it the pointwise 4d checks read a sample of FOURD_LIMIT // N^2 frequency columns
 FOURD_LIMIT = 2_000_000
+
+# entries per block of frequency columns streamed by _stft_columns
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -52,11 +57,7 @@ class TimeFrequencyArray:
     kind: str = "stft"  # "stft" | "wigner"
 
     def __post_init__(self):
-        N = self.grid.size
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != (N, N):
-            raise SizeLimit(f"expected shape {(N, N)}, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _coerce(self.grid, self.data, (self.grid.size,) * 2))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -70,15 +71,11 @@ class FourDArray:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        N = self.grid.size
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != (N,) * 4:
-            raise SizeLimit(f"expected shape {(N,) * 4}, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _coerce(self.grid, self.data, (self.grid.size,) * 4))
 
 
-def _check_window(phi: Signal):
-    if not np.any(phi.data):
+def _check_window(phi: np.ndarray):
+    if not np.any(phi):
         raise ZeroWindow("window is identically zero")
 
 
@@ -87,7 +84,7 @@ def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
 
     l2 isometry up to the window norm: ||V_phi f||_2 = ||phi||_2 ||f||_2.
     """
-    _check_window(phi)
+    _check_window(phi.data)
     grid = f.grid
     n, d = grid.n, grid.d
     # M[j, y] = f(y) conj(phi(y - j)): the windows of the 2-periodic tiling
@@ -100,6 +97,14 @@ def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
     np.fft.fftn(V, axes=tuple(range(d, 2 * d)), out=V)
     V /= np.sqrt(grid.size)
     return TimeFrequencyArray(grid, V.reshape(grid.size, grid.size), kind="stft")
+
+
+def _shear(grid: GridSpec, M: np.ndarray, y=None) -> np.ndarray:
+    """Table S[b, j] = flat index of j + M y_b mod n for an integer matrix M,
+    over the flat indices y (all N by default) and every j."""
+    coords = index_coords(grid)
+    ys = coords if y is None else coords[y]
+    return flatten_coords(grid, coords[None, :, :] + (ys @ M.T)[:, None, :])
 
 
 def wigner(f1: Signal, f2: Signal, A) -> TimeFrequencyArray:
@@ -117,10 +122,7 @@ def wigner(f1: Signal, f2: Signal, A) -> TimeFrequencyArray:
     if grid.mode == "mod":
         Aint = np.round(A.entries).astype(np.int64)
         Bint = Aint - np.eye(grid.d, dtype=np.int64)
-        coords = index_coords(grid)
-        ia = flatten_coords(grid, coords[:, None, :] + coords[None, :, :] @ Aint.T)
-        ib = flatten_coords(grid, coords[:, None, :] + coords[None, :, :] @ Bint.T)
-        M = f1.data[ia] * np.conj(f2.data[ib])
+        M = f1.data[_shear(grid, Aint).T] * np.conj(f2.data[_shear(grid, Bint).T])
         W = _partial_dft_core(M, grid, 2, inverse=False)
     else:
         outer = OperatorMatrix(grid, np.outer(f1.data, np.conj(f2.data)))
@@ -180,74 +182,78 @@ def stft_of_wigner(f: Signal, g: Signal, phi: Signal, psi: Signal, A) -> FourDAr
     return FourDArray(grid, phase_space_stft(W, Phi, grid))
 
 
-def _factorization_rhs_indices(grid, A):
-    """Index and phase arrays for the sheared right-hand side."""
-    n = grid.n
-    coords = index_coords(grid)
-    Aint = np.round(A.entries).astype(np.int64)
-    Bint = Aint - np.eye(grid.d, dtype=np.int64)
-    # position arguments over (x, y); frequency arguments over (xi, eta)
-    pos_f = flatten_coords(grid, coords[:, None, :] - coords[None, :, :] @ Aint.T)
-    pos_g = flatten_coords(grid, coords[:, None, :] - coords[None, :, :] @ Bint.T)
-    frq_f = flatten_coords(grid, coords[:, None, :] - coords[None, :, :] @ Bint)
-    frq_g = flatten_coords(grid, coords[:, None, :] - coords[None, :, :] @ Aint)
-    dot = (coords @ coords.T) % n
-    phase = np.exp(-2j * np.pi * dot / n)  # e^{-2i pi <y, xi>/n} over (xi, y)
-    return pos_f, pos_g, frq_f, frq_g, phase
+def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
+    """Blocks (k, V) of frequency columns of :func:`phase_space_stft`, as a
+    generator.
+
+    k holds flat frequency indices over (eta, y), all N^2 of them in order
+    unless `columns` names some; V[b] is the (N, N) column at k[b] over the
+    translations (x, xi).  Column k is the cyclic cross-correlation
+    ifftn(F^(. + k) conj(Phi^)) / N of two FFTs done here, once; the
+    generator keeps only those, so no (N,)*4 array is ever built.
+    """
+    _check_window(Phi)
+    shape = (grid.n,) * (2 * grid.d)
+    Fhat = _fftn(F.reshape(shape))
+    Phihat = np.conj(_fftn(Phi.reshape(shape)))
+    ks = np.arange(grid.size**2) if columns is None else np.asarray(columns)
+    step = max(1, _BLOCK_ENTRIES // grid.size**2)
+    return (_column_block(Fhat, Phihat, ks[s:s + step]) for s in range(0, len(ks), step))
 
 
-def stft_of_wigner_check(f, g, phi, psi, A, samples=None, rng=None) -> float:
+def _column_block(Fhat: np.ndarray, Phihat: np.ndarray, k: np.ndarray):
+    """Columns k of the doubled-grid STFT from the FFTs of its symbol and of
+    its conjugated window, gathered with per-axis (m_i + k_i) mod n indices."""
+    n, D = Fhat.shape[0], Fhat.ndim
+    idx = tuple(((np.arange(n) + k_i[:, None]) % n).reshape((len(k),) + (1,) * i + (n,) + (1,) * (D - 1 - i))
+                for i, k_i in enumerate(np.unravel_index(k, Fhat.shape)))
+    V = Fhat[idx]
+    V *= Phihat
+    np.fft.ifftn(V, axes=tuple(range(1, D + 1)), out=V)
+    N = n ** (D // 2)
+    V /= N
+    return k, V.reshape(len(k), N, N)
+
+
+def _check_columns(grid: GridSpec):
+    """Every frequency column (None) while the 4d grid has at most
+    FOURD_LIMIT entries, else a sorted seed-0 sample of FOURD_LIMIT // N^2."""
+    N = grid.size
+    if N**4 <= FOURD_LIMIT:
+        return None
+    return np.sort(np.random.default_rng(0).choice(N * N, FOURD_LIMIT // (N * N), replace=False))
+
+
+def stft_of_wigner_check(f, g, phi, psi, A) -> float:
     """Max deviation between V_Phi W^A_{f,g} and the two-STFT product form
 
         e^{-2i pi <y,xi>/n} (V_phi f)(x-Ay, xi-(A*-I)eta)
                        conj((V_psi g)(x-(A-I)y, xi-A*eta)).
 
-    Exact (fp roundoff) in mode "mod" with integer A.  When the dense 4d
-    array exceeds the cap, evaluates both sides on `samples` random index
-    tuples instead.
+    Exact (fp roundoff) in mode "mod" with integer A.  Streams the left
+    side by frequency columns (eta, y), each exact over all translations
+    (x, xi); above FOURD_LIMIT 4d entries it reads a fixed sample of
+    columns.
     """
     grid = f.grid
     A = as_matrix_param(A, grid.d)
     if grid.mode != "mod" or not A.integer_flag:
         raise ModeMismatch("identity requires mode 'mod' and integer A")
-    N = grid.size
-    Vf = stft(f, phi).data
-    Vg = stft(g, psi).data
-    pos_f, pos_g, frq_f, frq_g, phase = _factorization_rhs_indices(grid, A)
-
-    if N**4 <= FOURD_LIMIT and samples is None:
-        lhs = stft_of_wigner(f, g, phi, psi, A).data
-        rhs = (
-            phase[None, :, None, :]
-            * Vf[pos_f[:, None, None, :], frq_f[None, :, :, None]]
-            * np.conj(Vg[pos_g[:, None, None, :], frq_g[None, :, :, None]])
-        )
-        return float(np.abs(lhs - rhs).max())
-
-    # sampled evaluation: direct double sum for the left side
-    if rng is None:
-        rng = np.random.default_rng(0)
-    samples = 64 if samples is None else samples
-    W = wigner(f, g, A).data
-    Phi = wigner(phi, psi, A).data
-    rel = rel_index(grid)
+    N, n = grid.size, grid.n
+    Vf, Vg = stft(f, phi).data, stft(g, psi).data
+    Aint = np.round(A.entries).astype(np.int64)
+    Bint = Aint - np.eye(grid.d, dtype=np.int64)
     coords = index_coords(grid)
     worst = 0.0
-    n = grid.n
-    for _ in range(samples):
-        x, xi, eta, y = rng.integers(0, N, size=4)
-        win = Phi[rel[:, x]][:, rel[:, xi]]
-        modphase = np.exp(
-            -2j * np.pi * ((coords @ coords[eta] % n)[:, None] + (coords @ coords[y] % n)[None, :]) / n
-        )
-        lhs = np.sum(W * np.conj(win) * modphase) / N
-        rhs = (
-            phase[xi, y]
-            * Vf[pos_f[x, y], frq_f[xi, eta]]
-            * np.conj(Vg[pos_g[x, y], frq_g[xi, eta]])
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    for k, lhs in _stft_columns(wigner(f, g, A).data, wigner(phi, psi, A).data, grid, _check_columns(grid)):
+        eta, y = k // N, k % N
+        rhs = Vf[_shear(grid, -Aint, y)[:, :, None], _shear(grid, -Bint.T, eta)[:, None, :]]
+        rhs *= np.exp(-2j * np.pi * ((coords[y] @ coords.T) % n) / n)[:, None, :]  # e^{-2i pi <y, xi>/n}
+        Vg_sheared = Vg[_shear(grid, -Bint, y)[:, :, None], _shear(grid, -Aint.T, eta)[:, None, :]]
+        rhs *= np.conj(Vg_sheared, out=Vg_sheared)
+        rhs -= lhs
+        worst = max(worst, float(np.abs(rhs).max()))
+    return worst
 
 
 def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
@@ -256,27 +262,28 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
         (V_{T_A phi}(T_A a))(x, xi, eta, y)
             = e^{2i pi <A y, eta>/n} (V_phi a)(x + A y, xi + A* eta, eta, y)
 
-    over the full 4d grid.  Exactly zero at A = 0; requires mode "mod"
-    and integer A.
+    Both sides stream by frequency columns (eta, y); each column's right
+    side is its own translations (x, xi) shifted by (A y, A* eta), exact
+    over all of them.  Above FOURD_LIMIT 4d entries a fixed sample of
+    columns is read.  Exactly zero at A = 0; requires mode "mod" and
+    integer A.
     """
     grid = a.grid
     A = as_matrix_param(A, grid.d)
     if grid.mode != "mod" or not A.integer_flag:
         raise ModeMismatch("identity requires mode 'mod' and integer A")
     N, n = grid.size, grid.n
-    Ta = symbol_transfer(a, A).data
-    Tphi = symbol_transfer(phi, A).data
-    lhs = phase_space_stft(Ta, Tphi, grid)
-    V4 = phase_space_stft(a.data, phi.data, grid)
-    coords = index_coords(grid)
     Aint = np.round(A.entries).astype(np.int64)
-    pos = flatten_coords(grid, coords[:, None, :] + coords[None, :, :] @ Aint.T)  # (x, y)
-    frq = flatten_coords(grid, coords[:, None, :] + coords[None, :, :] @ Aint)  # (xi, eta)
-    dot = (coords @ Aint.T @ coords.T) % n  # <A y, eta> over (y, eta)
-    phase = np.exp(2j * np.pi * dot / n)
-    idx = np.arange(N)
-    rhs = (
-        phase.T[None, None, :, :]
-        * V4[pos[:, None, None, :], frq[None, :, :, None], idx[None, None, :, None], idx[None, None, None, :]]
-    )
-    return float(np.abs(lhs - rhs).max())
+    coords = index_coords(grid)
+    columns = _check_columns(grid)
+    worst = 0.0
+    lhs_columns = _stft_columns(symbol_transfer(a, A).data, symbol_transfer(phi, A).data, grid, columns)
+    for (k, lhs), (_, V) in zip(lhs_columns, _stft_columns(a.data, phi.data, grid, columns)):
+        eta, y = k // N, k % N
+        dot = np.sum((coords[y] @ Aint.T) * coords[eta], axis=1) % n  # <A y, eta>
+        rhs = V[np.arange(len(k))[:, None, None], _shear(grid, Aint, y)[:, :, None],
+                _shear(grid, Aint.T, eta)[:, None, :]]
+        rhs *= np.exp(2j * np.pi * dot / n)[:, None, None]
+        rhs -= lhs
+        worst = max(worst, float(np.abs(rhs).max()))
+    return worst

@@ -263,21 +263,21 @@ def test_verify_threaded_report_identical(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_table_prints_skip_reason(tmp_path, capsys):
-    # at n=9 d=2 the dense 4d arrays have 81**4 entries, over FOURD_LIMIT
+    # at n=9 d=2 the symbol norm would read 81**4 STFT entries, over FOURD_LIMIT
     from psdo.wigner import FOURD_LIMIT
 
     path = tmp_path / "r.json"
-    code, stdout, _ = run_cli(capsys, "verify", "wigner", "--n", "9", "--d", "2",
+    code, stdout, _ = run_cli(capsys, "verify", "modspace", "--n", "9", "--d", "2",
                               "--json-out", str(path))
     assert code == 0
-    note = f"dense 4d array would have {81**4} entries (cap {FOURD_LIMIT})"
+    note = f"symbol norm reads all {81**2} STFT columns, {81**4} entries (cap {FOURD_LIMIT})"
     skipped = [c for c in json.loads(path.read_text())["checks"] if c["skipped"]]
-    assert [c["name"] for c in skipped] == ["expop_stft_zero", "expop_stft"]
+    assert [c["name"] for c in skipped] == ["symbol_modulation_norm_l2"]
     rows = {line.split()[0]: line for line in stdout.splitlines()[2:-1]}
     for c in skipped:
         assert c["note"] == note
         assert rows[c["name"]].endswith(f"SKIP: {note}")
-    assert stdout.count("SKIP") == 2
+    assert stdout.count("SKIP") == 1
 
 
 def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):

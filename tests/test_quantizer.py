@@ -26,6 +26,10 @@ from psdo import (
     sharp,
     quantize_scheme,
     SchemeSpec,
+    symbol_modulation_norm,
+    MixedNormParams,
+    expop_stft_check,
+    stft_of_wigner_check,
 )
 from psdo.quantizer import MatrixParam, as_matrix_param
 from psdo.errors import ModeMismatch, InvalidParams
@@ -357,8 +361,12 @@ def test_transforms_leave_their_inputs_untouched(rng, mode, A):
     dft(f)
     idft(f)
     frac_shift(f, [0.3, -1.2])
+    symbol_modulation_norm(a, MixedNormParams(2, 2), Phi=b)
     if mode == "real":
         quantize_scheme(a, SchemeSpec("born_jordan", {}))
+    else:
+        expop_stft_check(a, b, A)
+        stft_of_wigner_check(f, phi, f, phi, A)
     for x, x0 in zip(owned, before):
         assert x.tobytes() == x0.tobytes()
 

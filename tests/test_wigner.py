@@ -16,8 +16,9 @@ from psdo import (
     stft_of_wigner_check,
     expop_stft_check,
 )
-from psdo.wigner import phase_space_stft, FOURD_LIMIT
-from psdo.errors import ModeMismatch, SizeLimit, ZeroWindow
+from psdo.wigner import phase_space_stft, FOURD_LIMIT, TimeFrequencyArray, FourDArray, _stft_columns
+from psdo.modspace import MixedNormParams, symbol_modulation_norm
+from psdo.errors import DimMismatch, ModeMismatch, ZeroWindow
 
 from reference import naive_stft, naive_wigner_mod, naive_phase_space_stft
 
@@ -179,6 +180,23 @@ def test_phase_space_stft_memory(rng):
         assert peak <= 1.5 * V.nbytes, (d, n, peak / V.nbytes)
 
 
+def test_stft_columns_match_dense(rng):
+    # the streamed blocks (19 of them at n=33) are the dense phase-space
+    # STFT's frequency columns, for all columns in order or any listed ones
+    for d, n in ((1, 33), (2, 3)):
+        g = GridSpec(d, n)
+        N = g.size
+        F = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        Phi = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        V4 = phase_space_stft(F, Phi, g).reshape(N * N, N * N)
+        for columns in (None, [N * N - 1, 0, 5]):
+            seen = []
+            for k, V in _stft_columns(F, Phi, g, columns):
+                np.testing.assert_allclose(V.reshape(len(k), N * N).T, V4[:, k], atol=1e-13)
+                seen += list(k)
+            assert seen == (list(range(N * N)) if columns is None else columns)
+
+
 def test_stft_of_wigner_exhaustive_n3(rng):
     g = GridSpec(1, 3, "mod")
     sigs = [Signal.random(g, rng) for _ in range(4)]
@@ -201,12 +219,12 @@ def test_stft_of_wigner_scaling(rng, grid9m):
 
 
 def test_stft_of_wigner_sampled_path_d2(rng):
-    # 81^4 entries exceed the dense cap, so the check samples index tuples
+    # 81^4 entries exceed the dense cap, so the check samples frequency columns
     g = GridSpec(2, 9, "mod")
     assert g.size**4 > FOURD_LIMIT
     sigs = [Signal.random(g, rng) for _ in range(4)]
     A = np.array([[1, 1], [0, 1]])
-    assert stft_of_wigner_check(*sigs, A, samples=16, rng=rng) <= 1e-10
+    assert stft_of_wigner_check(*sigs, A) <= 1e-10
 
 
 def test_expop_identities(rng, grid9m):
@@ -223,10 +241,59 @@ def test_expop_requires_mod(rng, grid9):
 
 
 def test_expop_size_limit(rng):
+    # 81^4 entries exceed the dense cap: the check reads a column sample
     g = GridSpec(2, 9, "mod")
     a, phi = Symbol.random(g, rng), Symbol.random(g, rng)
-    with pytest.raises(SizeLimit):
-        expop_stft_check(a, phi, 1)
+    assert expop_stft_check(a, phi, 0) == 0.0
+    assert expop_stft_check(a, phi, [[1, 1], [0, 1]]) <= 1e-10
+
+
+def test_expop_zero_window(rng, grid9m):
+    a, zero = Symbol.random(grid9m, rng), Symbol(grid9m, np.zeros((9, 9)))
+    for A in (0, 1):
+        with pytest.raises(ZeroWindow):
+            expop_stft_check(a, zero, A)
+
+
+# non-symmetric shears and a swap: A != A*, so a transposed A fails
+NON_SYMMETRIC_A = ([[1, 2], [0, 1]], [[2, -1], [1, 0]], [[1, 0], [3, 1]])
+
+
+@pytest.mark.parametrize("n", [5, 9])  # all 25^2 columns at n=5, a column sample at n=9
+@pytest.mark.parametrize("A", NON_SYMMETRIC_A)
+def test_4d_checks_non_symmetric_A_d2(rng, n, A):
+    g = GridSpec(2, n, "mod")
+    a, phi = Symbol.random(g, rng), Symbol.random(g, rng)
+    assert expop_stft_check(a, phi, A) <= 1e-10
+    assert stft_of_wigner_check(*(Signal.random(g, rng) for _ in range(4)), A) <= 1e-10
+
+
+def test_4d_checks_memory(rng):
+    # both checks and the symbol norm stream blocks of frequency columns,
+    # so none holds an (N,)*4 array; the dense path needed 2.5x to 4.5x one
+    g = GridSpec(1, 33, "mod")
+    N = g.size
+    a, phi = Symbol.random(g, rng), Symbol.random(g, rng)
+    sigs = [Signal.random(g, rng) for _ in range(4)]
+    dense = 16 * N**4
+    for name, run in (("expop_stft_check", lambda: expop_stft_check(a, phi, 1)),
+                      ("stft_of_wigner_check", lambda: stft_of_wigner_check(*sigs, 1)),
+                      ("symbol_modulation_norm", lambda: symbol_modulation_norm(a, MixedNormParams(2, 2)))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * dense, (name, peak / dense)
+
+
+def test_time_frequency_arrays_reject_wrong_shape(grid9):
+    # a wrong shape is a DimMismatch, as for Signal, Symbol and OperatorMatrix
+    with pytest.raises(DimMismatch):
+        TimeFrequencyArray(grid9, np.zeros((9, 8)))
+    with pytest.raises(DimMismatch):
+        FourDArray(grid9, np.zeros((9,) * 3))
 
 
 def test_rank_one_wigner_link(rng, grid9):
