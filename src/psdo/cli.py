@@ -25,7 +25,7 @@ from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_trans
 from .schatten import schatten_norm
 from .schemes import SchemeSpec, quantize_scheme
 from .validation import validate
-from .verify import SUITES, format_table, report_to_json, run_suite
+from .verify import SUITES, format_table, report_to_json, _run_suite, _timing_to_json
 from .wigner import stft, wigner
 
 OP_COMMANDS = ("quantize", "scheme", "wigner", "stft", "modnorm", "schatten", "compose", "transfer")
@@ -206,7 +206,7 @@ def _cmd_transfer(args):
 
 
 def _cmd_verify(args):
-    report = run_suite(args.suite, args.n, args.d, args.seed)
+    report, walls = _run_suite(args.suite, args.n, args.d, args.seed)
     if args.format == "json":
         sys.stdout.write(report_to_json(report).decode("utf-8"))
     else:
@@ -214,6 +214,9 @@ def _cmd_verify(args):
     json_path = args.json_out or "psdo_verify_report.json"
     with open(json_path, "wb") as fh:
         fh.write(report_to_json(report))
+    if args.timing_out:
+        with open(args.timing_out, "wb") as fh:
+            fh.write(_timing_to_json(report, walls))
     return 0 if report["passed"] else 1
 
 
@@ -267,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json-out", help="report path (default psdo_verify_report.json)")
     v.add_argument("--format", default="text", choices=["text", "json"],
                    help="stdout form of the report")
+    v.add_argument("--timing-out", help="also write each check's wall time (JSON) to this path")
     v.set_defaults(handler=_cmd_verify)
 
     b = sub.add_parser("bench", help="time the hot operations")

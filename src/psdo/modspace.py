@@ -336,8 +336,16 @@ def symbol_modulation_norm(a: Symbol, params: MixedNormParams, omega: Weight = N
 
     Inner p over the 2d position block (x, xi), outer q over the 2d
     frequency block (eta, y), weighted by a 4-block weight.  Streams the STFT
-    by frequency columns, one inner norm each; all N^4 entries are capped.
+    by frequency columns, one inner norm each, with the weight evaluated on
+    each block; all N^4 entries are capped.
     """
+    return _symbol_modulation_norms(a, (params,), omega, Phi)[0]
+
+
+def _symbol_modulation_norms(a: Symbol, params_seq, omega: Weight = None, Phi: Symbol = None) -> list:
+    """:func:`symbol_modulation_norm` for each of `params_seq`, every inner
+    norm taken from the same block of frequency columns, so the STFT is
+    streamed once."""
     grid = a.grid
     N = grid.size
     if N**4 > FOURD_LIMIT:
@@ -349,14 +357,25 @@ def symbol_modulation_norm(a: Symbol, params: MixedNormParams, omega: Weight = N
     if len(omega.axes) != 4:
         raise DomainMismatch(f"symbol norm needs a 4-block weight, got {len(omega.axes)} blocks")
     trivial = omega.kind == "polynomial" and omega.params == (0.0,)
-    w = None if trivial else omega.sample(grid).reshape(N * N, N * N)  # (x, xi) by (eta, y)
-    inner = np.empty(N * N)
+    inner = np.empty((len(params_seq), N * N))
     for k, V in _stft_columns(a.data, Phi.data, grid):
         weighted = np.abs(V).reshape(len(k), N * N)
-        if w is not None:
-            weighted *= w[:, k].T
-        inner[k] = lp_norm(weighted, params.p, axis=1)
-    return float(lp_norm(inner, params.q))
+        if not trivial:
+            weighted *= _column_weights(omega, grid, k)
+        for row, params in zip(inner, params_seq):
+            row[k] = lp_norm(weighted, params.p, axis=1)
+    return [float(lp_norm(row, params.q)) for row, params in zip(inner, params_seq)]
+
+
+def _column_weights(omega: Weight, grid: GridSpec, k: np.ndarray) -> np.ndarray:
+    """omega(x, xi, eta, y) at the frequency columns k = (eta, y) of a
+    4-block weight, shape (len(k), N^2) over the translations (x, xi)."""
+    N = grid.size
+    if omega.kind == "custom":
+        return omega.sample(grid).reshape(N * N, N * N)[:, k].T
+    X = block_coords(grid, omega.axes[:2]).reshape(1, N * N, -1)
+    Y = block_coords(grid, omega.axes[2:]).reshape(N * N, 1, -1)[k]
+    return omega.evaluate(np.concatenate(np.broadcast_arrays(X, Y), axis=-1))
 
 
 # ---------------------------------------------------------------------------

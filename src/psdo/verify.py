@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -727,8 +728,9 @@ def _s_embedding_ratios(ctx):
     for _ in range(draws):
         a = _unit_symbol(grid, rng)
         s2 = symbol_schatten_norm(a, A, 2)
-        worst_up = max(worst_up, s2 / ms.symbol_modulation_norm(a, lo))
-        worst_dn = max(worst_dn, ms.symbol_modulation_norm(a, hi) / s2)
+        m11, minf = ms._symbol_modulation_norms(a, (lo, hi))
+        worst_up = max(worst_up, s2 / m11)
+        worst_dn = max(worst_dn, minf / s2)
     return max(worst_up, worst_dn)
 
 
@@ -930,6 +932,12 @@ def run_suite(suite: str, n: int, d: int, seed: int, threads: int = None) -> dic
 
     threads=None takes the check parallelism from PSDO_THREADS (default 1).
     """
+    return _run_suite(suite, n, d, seed, threads)[0]
+
+
+def _run_suite(suite, n, d, seed, threads=None):
+    """:func:`run_suite`, plus each check's wall time in seconds, in report
+    order.  The times stay out of the report, which is byte-reproducible."""
     if suite not in SUITES:
         raise InvalidParams(f"unknown suite {suite!r}; have {SUITES}")
     if d not in (1, 2):
@@ -943,11 +951,18 @@ def run_suite(suite: str, n: int, d: int, seed: int, threads: int = None) -> dic
             threads = int(raw)
         except ValueError:
             raise InvalidParams(f"PSDO_THREADS must be an integer, got {raw!r}") from None
+
+    def timed(c):
+        t0 = time.perf_counter()
+        entry = _run_check(c, ctx)
+        return entry, time.perf_counter() - t0
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _run_check(c, ctx), selected))
+            runs = list(pool.map(timed, selected))
     else:
-        results = [_run_check(c, ctx) for c in selected]
+        runs = [timed(c) for c in selected]
+    results = [entry for entry, _ in runs]
     report = {
         "suite": suite,
         "n": n,
@@ -956,7 +971,16 @@ def run_suite(suite: str, n: int, d: int, seed: int, threads: int = None) -> dic
         "checks": results,
         "passed": all(r["passed"] for r in results),
     }
-    return report
+    return report, [wall for _, wall in runs]
+
+
+def _timing_to_json(report: dict, walls) -> bytes:
+    """The timing sidecar of a report: each check's wall time in seconds and
+    their sum, which exceeds the elapsed time when checks run in threads."""
+    timing = {key: report[key] for key in ("suite", "n", "d", "seed")}
+    timing["total_s"] = sum(walls)
+    timing["checks"] = [{"name": r["name"], "wall_s": w} for r, w in zip(report["checks"], walls)]
+    return (json.dumps(timing, indent=2) + "\n").encode("utf-8")
 
 
 def _fmt(x) -> str:

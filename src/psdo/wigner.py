@@ -189,29 +189,38 @@ def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
     k holds flat frequency indices over (eta, y), all N^2 of them in order
     unless `columns` names some; V[b] is the (N, N) column at k[b] over the
     translations (x, xi).  Column k is the cyclic cross-correlation
-    ifftn(F^(. + k) conj(Phi^)) / N of two FFTs done here, once; the
-    generator keeps only those, so no (N,)*4 array is ever built.
+    ifftn(F^(. + k) conj(Phi^)) / N of two FFTs done here, once: F^ tiled
+    twice along its last d axes (2^d spectra), where a column's shift is a
+    window, and the window spectrum conj(Phi^) / N, which carries the scale.
+    The generator keeps only those, so no (N,)*4 array is ever built.
     """
     _check_window(Phi)
-    shape = (grid.n,) * (2 * grid.d)
-    Fhat = _fftn(F.reshape(shape))
+    d, N = grid.d, grid.size
+    shape = (grid.n,) * (2 * d)
+    Fhat = np.tile(_fftn(F.reshape(shape)), (1,) * d + (2,) * d)
+    windows = sliding_window_view(Fhat, shape[d:], axis=tuple(range(d, 2 * d)))
     Phihat = np.conj(_fftn(Phi.reshape(shape)))
-    ks = np.arange(grid.size**2) if columns is None else np.asarray(columns)
-    step = max(1, _BLOCK_ENTRIES // grid.size**2)
-    return (_column_block(Fhat, Phihat, ks[s:s + step]) for s in range(0, len(ks), step))
+    Phihat /= N
+    ks = np.arange(N**2) if columns is None else np.asarray(columns)
+    step = max(1, _BLOCK_ENTRIES // N**2)
+    return (_column_block(windows, Phihat, ks[s:s + step]) for s in range(0, len(ks), step))
 
 
-def _column_block(Fhat: np.ndarray, Phihat: np.ndarray, k: np.ndarray):
-    """Columns k of the doubled-grid STFT from the FFTs of its symbol and of
-    its conjugated window, gathered with per-axis (m_i + k_i) mod n indices."""
-    n, D = Fhat.shape[0], Fhat.ndim
-    idx = tuple(((np.arange(n) + k_i[:, None]) % n).reshape((len(k),) + (1,) * i + (n,) + (1,) * (D - 1 - i))
-                for i, k_i in enumerate(np.unravel_index(k, Fhat.shape)))
-    V = Fhat[idx]
+def _column_block(windows: np.ndarray, Phihat: np.ndarray, k: np.ndarray):
+    """Columns k of the doubled-grid STFT from the windows of its symbol's
+    FFT and from the scaled conjugated window spectrum: the shift
+    (m_i + k_i) mod n is a per-axis index on the first d axes and the window
+    that starts at k_i on the last d."""
+    n, D = Phihat.shape[0], Phihat.ndim
+    d = D // 2
+    k_axes = np.unravel_index(k, Phihat.shape)
+    idx = tuple(((np.arange(n) + k_i[:, None]) % n).reshape((len(k),) + (1,) * i + (n,) + (1,) * (d - 1 - i))
+                for i, k_i in enumerate(k_axes[:d]))
+    starts = tuple(k_i.reshape((len(k),) + (1,) * d) for k_i in k_axes[d:])
+    V = windows[idx + starts]
     V *= Phihat
     np.fft.ifftn(V, axes=tuple(range(1, D + 1)), out=V)
-    N = n ** (D // 2)
-    V /= N
+    N = n**d
     return k, V.reshape(len(k), N, N)
 
 

@@ -262,6 +262,25 @@ def test_verify_threaded_report_identical(tmp_path, capsys, monkeypatch):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_verify_timing_sidecar(tmp_path, capsys, monkeypatch):
+    # --timing-out writes each check's wall time beside a report whose bytes
+    # do not change, threaded or not
+    plain, timed, timing = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "timing.json"
+    assert run_cli(capsys, "verify", "modspace", "--n", "9", "--seed", "3",
+                   "--json-out", str(plain))[0] == 0
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PSDO_THREADS", threads)
+        assert run_cli(capsys, "verify", "modspace", "--n", "9", "--seed", "3",
+                       "--json-out", str(timed), "--timing-out", str(timing))[0] == 0
+        assert timed.read_bytes() == plain.read_bytes()
+        sidecar = json.loads(timing.read_text())
+        names = [c["name"] for c in json.loads(plain.read_text())["checks"]]
+        assert [c["name"] for c in sidecar["checks"]] == names
+        assert all(c["wall_s"] > 0 for c in sidecar["checks"])
+        assert sidecar["total_s"] == sum(c["wall_s"] for c in sidecar["checks"])
+        assert (sidecar["suite"], sidecar["n"], sidecar["d"], sidecar["seed"]) == ("modspace", 9, 1, 3)
+
+
 def test_verify_table_prints_skip_reason(tmp_path, capsys):
     # at n=9 d=2 the symbol norm would read 81**4 STFT entries, over FOURD_LIMIT
     from psdo.wigner import FOURD_LIMIT

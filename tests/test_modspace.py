@@ -33,8 +33,10 @@ from psdo.modspace import (
     holds_wigner_weight_bound,
     holds_op_weight_bound,
     holds_composition_weight_bound,
+    lp_norm,
+    _symbol_modulation_norms,
 )
-from psdo.wigner import TimeFrequencyArray
+from psdo.wigner import TimeFrequencyArray, phase_space_stft
 from psdo.errors import (
     ArityMismatch,
     DomainMismatch,
@@ -230,6 +232,42 @@ def test_symbol_modulation_norm_constant_vs_direct():
             worst = max(worst, abs(acc) / n)
     got = symbol_modulation_norm(Symbol.constant(g), MixedNormParams(math.inf, math.inf))
     assert got == pytest.approx(worst, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(9, 1), (5, 2)])
+def test_weighted_symbol_modulation_norm_vs_dense(rng, n, d):
+    # the weight evaluated per block of frequency columns equals the dense
+    # weighted norm over the whole (N,)*4 phase-space STFT
+    g = GridSpec(d, n)
+    N = g.size
+    a = Symbol.random(g, rng)
+    Phi = gaussian_window(GridSpec(2 * d, n)).data.reshape(N, N)
+    V = np.abs(phase_space_stft(a.data, Phi, g)).reshape(N * N, N * N)  # (x, xi) by (eta, y)
+    weights = {
+        "polynomial": make_weight("polynomial", axes=SYMBOL_AXES, s=1.0),
+        "exponential": make_weight("exponential", axes=KERNEL_AXES, c=0.3, s=2.0),
+        "product": make_weight("product", factors=[
+            make_weight("polynomial", axes=("pos", "freq"), s=1.5),
+            make_weight("exponential", axes=("freq", "pos"), c=-0.2, s=1.0)]),
+        "custom": make_weight("custom", axes=SYMBOL_AXES, samples=rng.uniform(0.5, 2.0, (N,) * 4)),
+    }
+    for name, omega in weights.items():
+        weighted = V * omega.sample(g).reshape(N * N, N * N)
+        for p, q in ((1, 1), (2, 2), (math.inf, math.inf), (3, 1.5)):
+            want = lp_norm(lp_norm(weighted, p, axis=0), q)
+            got = symbol_modulation_norm(a, MixedNormParams(p, q), omega)
+            assert got == pytest.approx(want, rel=1e-12), (name, p, q)
+
+
+@pytest.mark.parametrize("n, d", [(9, 1), (5, 2)])
+def test_symbol_modulation_norms_share_one_stream(rng, n, d):
+    # each norm read from the shared stream is the one-norm call, exactly
+    g = GridSpec(d, n)
+    a = Symbol.random(g, rng)
+    lo, hi = MixedNormParams(1, 1), MixedNormParams(math.inf, math.inf)
+    for omega in (None, make_weight("polynomial", axes=SYMBOL_AXES, s=1.0)):
+        assert _symbol_modulation_norms(a, (lo, hi), omega) == [
+            symbol_modulation_norm(a, lo, omega), symbol_modulation_norm(a, hi, omega)]
 
 
 def test_symbol_modulation_norm_size_limit(rng):

@@ -17,7 +17,7 @@ from psdo import (
     expop_stft_check,
 )
 from psdo.wigner import phase_space_stft, FOURD_LIMIT, TimeFrequencyArray, FourDArray, _stft_columns
-from psdo.modspace import MixedNormParams, symbol_modulation_norm
+from psdo.modspace import SYMBOL_AXES, MixedNormParams, make_weight, symbol_modulation_norm
 from psdo.errors import DimMismatch, ModeMismatch, ZeroWindow
 
 from reference import naive_stft, naive_wigner_mod, naive_phase_space_stft
@@ -182,14 +182,15 @@ def test_phase_space_stft_memory(rng):
 
 def test_stft_columns_match_dense(rng):
     # the streamed blocks (19 of them at n=33) are the dense phase-space
-    # STFT's frequency columns, for all columns in order or any listed ones
-    for d, n in ((1, 33), (2, 3)):
+    # STFT's frequency columns, for all columns in order or any listed ones;
+    # the listed column N^2 - 1 shifts by n - 1 on every axis, so each wraps
+    for d, n in ((1, 33), (2, 3), (2, 5)):
         g = GridSpec(d, n)
         N = g.size
         F = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         Phi = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         V4 = phase_space_stft(F, Phi, g).reshape(N * N, N * N)
-        for columns in (None, [N * N - 1, 0, 5]):
+        for columns in (None, [N * N - 1, 0, 5, N * N // 2]):
             seen = []
             for k, V in _stft_columns(F, Phi, g, columns):
                 np.testing.assert_allclose(V.reshape(len(k), N * N).T, V4[:, k], atol=1e-13)
@@ -269,16 +270,20 @@ def test_4d_checks_non_symmetric_A_d2(rng, n, A):
 
 
 def test_4d_checks_memory(rng):
-    # both checks and the symbol norm stream blocks of frequency columns,
-    # so none holds an (N,)*4 array; the dense path needed 2.5x to 4.5x one
+    # both checks and the symbol norm, also weighted (the weight is evaluated
+    # per block), stream blocks of frequency columns, so none holds an
+    # (N,)*4 array; the dense path needed 2.5x to 4.5x one
     g = GridSpec(1, 33, "mod")
     N = g.size
     a, phi = Symbol.random(g, rng), Symbol.random(g, rng)
     sigs = [Signal.random(g, rng) for _ in range(4)]
+    omega = make_weight("polynomial", axes=SYMBOL_AXES, s=1.0)
     dense = 16 * N**4
     for name, run in (("expop_stft_check", lambda: expop_stft_check(a, phi, 1)),
                       ("stft_of_wigner_check", lambda: stft_of_wigner_check(*sigs, 1)),
-                      ("symbol_modulation_norm", lambda: symbol_modulation_norm(a, MixedNormParams(2, 2)))):
+                      ("symbol_modulation_norm", lambda: symbol_modulation_norm(a, MixedNormParams(2, 2))),
+                      ("weighted symbol_modulation_norm",
+                       lambda: symbol_modulation_norm(a, MixedNormParams(2, 2), omega))):
         tracemalloc.start()
         try:
             run()
@@ -286,6 +291,21 @@ def test_4d_checks_memory(rng):
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * dense, (name, peak / dense)
+
+
+def test_stft_columns_memory_d2(rng):
+    # a stream holds its symbol's spectrum tiled 2^d times and the window
+    # spectrum, one spectrum being 16 N^2 bytes: the two streams of the
+    # check stay near 15 spectra, where a 2^{2d}-fold tile would need 42
+    g = GridSpec(2, 15, "mod")
+    a, phi = Symbol.random(g, rng), Symbol.random(g, rng)
+    tracemalloc.start()
+    try:
+        expop_stft_check(a, phi, [[1, 2], [0, 1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 16 * g.size**2, peak / (16 * g.size**2)
 
 
 def test_time_frequency_arrays_reject_wrong_shape(grid9):
