@@ -10,6 +10,7 @@ transfer, verify, bench.  Exit codes: 0 success, 1 verify failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -244,7 +245,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every parse_args call
+    returns a fresh namespace, and callers must not modify the parser."""
     parser = argparse.ArgumentParser(prog="psdo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

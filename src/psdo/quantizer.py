@@ -18,8 +18,13 @@ displacement A u taken at the centered representative of u; for integer
 A this is the exact cyclic shift.
 
 Production :func:`quantize` and :func:`dequantize` run the kernel formula
-in 3 FFT passes (1 at A = 0), all on one buffer, with the phase applied as
-one broadcast table per row of A.  :func:`kernel_route` evaluates the same
+in 3 FFT passes (1 at A = 0 mod n), all on one buffer, with the phase applied as
+one broadcast table per row of A.  The averaged schemes (Born-Jordan and
+the orthogonal-group averages in :mod:`psdo.schemes`) are weighted sums
+of Op_A over a family of A; Op_A is linear in its phase, so each runs the
+same kernel formula once, in 3 FFT passes, with one averaged phase table
+(``_quantize_average`` sums the row tables of its nodes; Born-Jordan's
+exact t-average is a lookup).  :func:`kernel_route` evaluates the same
 formula with a dense N x N phase and unitary partial DFTs, which checks the
 factored phase.  The independent oracle is :func:`multiplier_route`,
 Op_0(T_A a) = ``quantize(symbol_transfer(a, A), 0)``.
@@ -122,20 +127,23 @@ def _require_mode(grid: GridSpec, A: MatrixParam):
         raise ModeMismatch("mode 'mod' requires an integer matrix parameter")
 
 
-def _apply_phase(X, grid: GridSpec, A: MatrixParam, sign: int):
-    """Multiply X, shaped (n,)*2d over (k, u), in place by
-    e^{sign 2i pi <rep k, A rep u>/n}, one broadcast table over (k_i, u)
-    per row i of A, so at most d multiplies of X.  Row i's table is the
-    product of the n x n factors e^{sign 2i pi rep(k_i) A_ij rep(u_j)/n}
-    of its entries that are non-zero mod n.  The factor is n-periodic in
-    A_ij, so A_ij is first reduced to its centered residue mod n; an
-    integer residue gives the exact integer phase
-    (rep(k_i) A_ij rep(u_j) mod n)."""
+def _row_tables(grid: GridSpec, A: MatrixParam, sign: int) -> list:
+    """The transfer phase e^{sign 2i pi <rep k, A rep u>/n} over (k, u), an
+    (n,)*2d array, as one broadcast table over (k_i, u) per row i of A
+    whose entries are not all zero mod n, so at most d tables.  Row i's
+    table is the product of the n x n factors
+    e^{sign 2i pi rep(k_i) A_ij rep(u_j)/n} of its entries that are
+    non-zero mod n.  The factor is n-periodic in A_ij, so A_ij is first
+    reduced to its centered residue mod n; an integer residue gives the
+    exact integer phase (rep(k_i) A_ij rep(u_j) mod n)."""
+    if not A.entries.any():
+        return []
     n, d = grid.n, grid.d
     r = rep_axis(n)
     rr = np.multiply.outer(r, r)
     t = np.fmod(A.entries, n)
     t -= n * np.round(t / n)
+    tables = []
     for i in range(d):
         table = None
         for j in np.flatnonzero(t[i]):
@@ -146,19 +154,47 @@ def _apply_phase(X, grid: GridSpec, A: MatrixParam, sign: int):
             factor = np.exp((sign * 2j * np.pi / n) * arg).reshape(shape)
             table = factor if table is None else table * factor
         if table is not None:
-            X *= table
+            tables.append(table)
+    return tables
 
 
-def _translate_columns(G, grid: GridSpec, A: MatrixParam, sign: int):
-    """Translate, in place, column u of G, shaped (n,)*2d over (j, u), by
-    -sign A rep(u) along the position block: block-1 FFT, phase, block-1
-    inverse FFT (trigonometric interpolation, the exact cyclic shift for
-    integer A)."""
-    if not A.entries.any():
+# terms summed into one partial table before it joins the total, so each
+# entry of a sum of M node terms is rounded in about _SUM_BLOCK + M /
+# _SUM_BLOCK additions, not M
+_SUM_BLOCK = 64
+
+
+def _average_table(grid: GridSpec, params, weights) -> np.ndarray:
+    """sum_i w_i e^{-2i pi <rep k, A_i rep u>/n} over (k, u), each term the
+    product of the row tables of :func:`_row_tables` with w_i folded into
+    the first, summed in blocks of ``_SUM_BLOCK`` terms."""
+    shape = (grid.n,) * (2 * grid.d)
+    total = np.zeros(shape, dtype=np.complex128)
+    part = np.zeros(shape, dtype=np.complex128)
+    for i, (A, w) in enumerate(zip(params, weights), 1):
+        term = w
+        for table in _row_tables(grid, A, -1):
+            term = term * table
+        part += term
+        if i % _SUM_BLOCK == 0:
+            total += part
+            part.fill(0.0)
+    total += part
+    return total
+
+
+def _translate_columns(G, grid: GridSpec, tables):
+    """Multiply, in place, the block-1 DFT of G, shaped (n,)*2d over (j, u),
+    by each of the broadcast phase tables over (k, u): block-1 FFT, the
+    multiplies, block-1 inverse FFT.  With the row tables of A at sign s
+    this translates column u by -s A rep(u) (trigonometric interpolation,
+    the exact cyclic shift for integer A).  No table, no pass."""
+    if not tables:
         return
     pos = _block_axes(grid.d, 1)
     np.fft.fftn(G, axes=pos, out=G)
-    _apply_phase(G, grid, A, sign)
+    for table in tables:
+        G *= table
     np.fft.ifftn(G, axes=pos, out=G)
 
 
@@ -185,27 +221,49 @@ def symbol_transfer(a: Symbol, A) -> Symbol:
     if not A.entries.any():  # T_0 is the identity, exactly
         return a
     ahat = _fftn(a.data.reshape((grid.n,) * (2 * grid.d)))
-    _apply_phase(ahat, grid, A, 1)
+    for table in _row_tables(grid, A, 1):
+        ahat *= table
     return Symbol(grid, np.fft.ifftn(ahat, out=ahat).reshape(a.data.shape))
+
+
+def _kernel_formula(a: Symbol, tables) -> OperatorMatrix:
+    """K[j, j - u] = G[j, u] for G = n^{-d/2} F2^{-1} a (one raw inverse FFT
+    over the frequency block) with the block-1 DFT of G multiplied by each
+    phase table over (k, u) in ``tables``: 3 FFT passes, 1 without a
+    table, and 1 scatter."""
+    grid = a.grid
+    freq = _block_axes(grid.d, 2)
+    G = _fftn(a.data.reshape((grid.n,) * (2 * grid.d)), freq, inverse=True)
+    _translate_columns(G, grid, tables)
+    K = np.empty(a.data.shape, dtype=np.complex128)
+    np.put_along_axis(K, rel_index(grid), G.reshape(K.shape), axis=1)
+    return OperatorMatrix(grid, K)
 
 
 def quantize(a: Symbol, A) -> OperatorMatrix:
     """Op_A(a) through the kernel formula; linear in a.
 
     G = n^{-d/2} F2^{-1} a (one raw inverse FFT over the frequency block);
-    for A != 0 column u is translated by A rep(u) (block-1 FFT, phase
-    e^{-2i pi <rep k, A rep u>/n}, block-1 inverse FFT); then
-    K[j, j - u] = G[j, u].  3 FFT passes, 1 at A = 0.
+    for A != 0 mod n column u is translated by A rep(u) (block-1 FFT, phase
+    e^{-2i pi <rep k, A rep u>/n} as at most d row tables, block-1 inverse
+    FFT); then K[j, j - u] = G[j, u].  3 FFT passes, 1 at A = 0 mod n.
     """
     grid = a.grid
     A = as_matrix_param(A, grid.d)
     _require_mode(grid, A)
-    freq = _block_axes(grid.d, 2)
-    G = _fftn(a.data.reshape((grid.n,) * (2 * grid.d)), freq, inverse=True)
-    _translate_columns(G, grid, A, -1)
-    K = np.empty(a.data.shape, dtype=np.complex128)
-    np.put_along_axis(K, rel_index(grid), G.reshape(K.shape), axis=1)
-    return OperatorMatrix(grid, K)
+    return _kernel_formula(a, _row_tables(grid, A, -1))
+
+
+def _quantize_average(a: Symbol, params, weights) -> OperatorMatrix:
+    """sum_i w_i Op_{A_i}(a) for MatrixParams A_i in one kernel pass.  Op_A
+    is linear in its phase, so the sum is the kernel formula with the one
+    averaged table of :func:`_average_table`: 3 FFT passes and 1 scatter
+    whatever the number of nodes.  Every A_i is checked against the grid's
+    mode before any FFT runs."""
+    grid = a.grid
+    for A in params:
+        _require_mode(grid, A)
+    return _kernel_formula(a, [_average_table(grid, params, weights)])
 
 
 def multiplier_route(a: Symbol, A) -> OperatorMatrix:
@@ -244,7 +302,7 @@ def dequantize(T: OperatorMatrix, A) -> Symbol:
     """Exact inverse of :func:`quantize`: the unique a with Op_A(a) = T.
 
     Gathers G[j, u] = T[j, j - u], translates column u back by A rep(u)
-    (phase e^{+2i pi <rep k, A rep u>/n}) for A != 0, then applies one
+    (phase e^{+2i pi <rep k, A rep u>/n}) for A != 0 mod n, then applies one
     raw FFT over the frequency block.
     """
     grid = T.grid
@@ -253,7 +311,7 @@ def dequantize(T: OperatorMatrix, A) -> Symbol:
     freq = _block_axes(grid.d, 2)
     # the gather is a fresh C-contiguous buffer, so every pass runs in place
     G = np.take_along_axis(T.data, rel_index(grid), axis=1).reshape((grid.n,) * (2 * grid.d))
-    _translate_columns(G, grid, A, 1)
+    _translate_columns(G, grid, _row_tables(grid, A, 1))
     return Symbol(grid, np.fft.fftn(G, axes=freq, out=G).reshape(T.data.shape))
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidParams, UnsupportedDimension
-from .grid import Symbol, OperatorMatrix, rep_coords
-from .quantizer import MatrixParam, quantize, _full_dft2
+from .errors import InvalidDimension, InvalidParams, ModeMismatch, UnsupportedDimension
+from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords
+from .quantizer import MatrixParam, quantize, _kernel_formula, _quantize_average
 
 __all__ = [
     "SchemeSpec",
@@ -85,32 +85,48 @@ def _gauss_legendre(nodes: int, lo: float, hi: float):
 
 def bj_multiplier(theta):
     """sinc(theta/2) = sin(theta/2)/(theta/2), the Born-Jordan symbol
-    multiplier relative to the Weyl calculus; series below |theta| < 1e-4
-    to avoid cancellation."""
+    multiplier relative to the Weyl calculus; below |theta| < 1e-4 the
+    series 1 - u^2/6 + u^4/120 - u^6/5040 in u = theta/2 (Horner in u^2),
+    evaluated on those entries only, avoids the cancellation."""
     theta = np.asarray(theta, dtype=float)
     u = theta / 2.0
     small = np.abs(theta) < 1e-4
-    safe = np.where(small, 1.0, u)
-    out = np.where(small,
-                   1.0 - u**2 / 6.0 + u**4 / 120.0 - u**6 / 5040.0,
-                   np.sin(safe) / safe)
+    out = np.divide(np.sin(u), u, out=np.empty_like(u), where=~small)
+    u2 = u[small] ** 2
+    out[small] = 1.0 + u2 * (-1.0 / 6.0 + u2 * (1.0 / 120.0 - u2 / 5040.0))
     return out if out.ndim else float(out)
 
 
-def _bj_closed_form(a: Symbol) -> OperatorMatrix:
-    """Weyl quantization of the sinc-multiplied symbol."""
-    grid = a.grid
-    reps = rep_coords(grid).astype(float)
-    theta = 2.0 * np.pi * (reps @ reps.T) / grid.n  # <rep(mu), rep(kappa)> over (kappa, mu)
-    ahat = _full_dft2(a.data, grid)
-    ahat *= bj_multiplier(theta)
-    smoothed = _full_dft2(ahat, grid, inverse=True)
-    return quantize(Symbol(grid, smoothed), MatrixParam.weyl(grid.d))
+def _bj_table(grid) -> np.ndarray:
+    """The exact average over t in [0, 1] of the transfer phase
+    e^{-2i pi t m/n} of Op_t, m = <rep k, rep u>, over (k, u):
+    e^{-i pi m/n} sinc(pi m/n).  The values come from one lookup over the
+    d (n-1)^2/2 + 1 integers |m| <= d ((n-1)/2)^2."""
+    n, d = grid.n, grid.d
+    r = rep_axis(n)
+    rr = np.multiply.outer(r, r)
+    m = 0
+    for i in range(d):
+        shape = [1] * (2 * d)
+        shape[i] = shape[d + i] = n
+        m = m + rr.reshape(shape)
+    top = d * ((n - 1) // 2) ** 2
+    ms = np.arange(-top, top + 1)
+    values = np.exp(-1j * np.pi * ms / n) * bj_multiplier(2.0 * np.pi * ms / n)
+    return values[m + top]
+
+
+def _born_jordan(a: Symbol) -> OperatorMatrix:
+    """The Born-Jordan average of Op_t(a) over t in [0, 1] as the kernel
+    formula with the exact t-averaged phase table: 3 FFT passes."""
+    if a.grid.mode == "mod":
+        raise ModeMismatch("Born-Jordan averages Op_t over real t, so it needs mode 'real'")
+    return _kernel_formula(a, [_bj_table(a.grid)])
 
 
 def born_jordan_quadrature(a: Symbol, nodes: int = 20) -> OperatorMatrix:
-    """Gauss-Legendre average of Op_t(a) over t in [0, 1]; the independent
-    route against the closed-form multiplier."""
+    """Gauss-Legendre average of Op_t(a) over t in [0, 1], one quantize per
+    node; the independent route against the exact t-averaged table."""
     t, w = _gauss_legendre(nodes, 0.0, 1.0)
     acc = np.zeros((a.grid.size, a.grid.size), dtype=np.complex128)
     for ti, wi in zip(t, w):
@@ -150,20 +166,21 @@ def _orthogonal_nodes(d: int, angle_nodes: int):
     raise UnsupportedDimension(f"orthogonal averaging implemented for d in (1, 2), got {d}")
 
 
-def _un_avg(a: Symbol, r: float, angle_nodes: int) -> OperatorMatrix:
-    grid = a.grid
-    if r == 0.0:  # every node collapses onto A = I/2
-        return quantize(a, MatrixParam.weyl(grid.d))
-    mats, wts = _orthogonal_nodes(grid.d, angle_nodes)
-    half = 0.5 * np.eye(grid.d)
-    acc = np.zeros((grid.size, grid.size), dtype=np.complex128)
-    for U, w in zip(mats, wts):
-        acc += w * quantize(a, MatrixParam(r * U + half)).data
-    return OperatorMatrix(grid, acc)
+def _un_avg(a: Symbol, radii, radius_weights, angle_nodes: int) -> OperatorMatrix:
+    """sum over radii r and orthogonal nodes U of w_r w_U Op_{rU + I/2}(a),
+    in one kernel pass over all the nodes."""
+    d = a.grid.d
+    mats, wts = _orthogonal_nodes(d, angle_nodes)
+    half = 0.5 * np.eye(d)
+    params = [MatrixParam(r * U + half) for r in radii for U in mats]
+    weights = [wr * wU for wr in radius_weights for wU in wts]
+    return _quantize_average(a, params, weights)
 
 
 def quantize_scheme(a: Symbol, spec: SchemeSpec) -> OperatorMatrix:
-    """Quantize a symbol under the requested scheme."""
+    """Quantize a symbol under the requested scheme.  The averaged schemes
+    (born_jordan, un_avg, un_avg_time) each run the kernel formula once,
+    with one averaged phase table."""
     grid = a.grid
     if spec.kind == "kn":
         return quantize(a, MatrixParam.zero(grid.d))
@@ -172,18 +189,15 @@ def quantize_scheme(a: Symbol, spec: SchemeSpec) -> OperatorMatrix:
     if spec.kind == "t":
         return quantize(a, MatrixParam.scalar(spec.params["t"], grid.d))
     if spec.kind == "born_jordan":
-        return _bj_closed_form(a)
-    if spec.kind == "un_avg":
-        return _un_avg(a, spec.params["r"], spec.params["angle_nodes"])
-    # un_avg_time: (1/r) integral over [0, r] of the r-averages
+        return _born_jordan(a)
     r = spec.params["r"]
-    if r == 0.0:
+    if r == 0.0:  # every orthogonal node collapses onto A = I/2
         return quantize(a, MatrixParam.weyl(grid.d))
+    if spec.kind == "un_avg":
+        return _un_avg(a, [r], [1.0], spec.params["angle_nodes"])
+    # un_avg_time: (1/r) integral over [0, r] of the r-averages
     t, w = _gauss_legendre(spec.params["t_nodes"], 0.0, r)
-    acc = np.zeros((grid.size, grid.size), dtype=np.complex128)
-    for ti, wi in zip(t, w):
-        acc += (wi / r) * _un_avg(a, ti, spec.params["angle_nodes"]).data
-    return OperatorMatrix(grid, acc)
+    return _un_avg(a, t, w / r, spec.params["angle_nodes"])
 
 
 # ---------------------------------------------------------------------------

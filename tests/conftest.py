@@ -28,3 +28,16 @@ def grid9m():
     from psdo import GridSpec
 
     return GridSpec(1, 9, "mod")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A list that gains one entry per np.fft.fftn / np.fft.ifftn call."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

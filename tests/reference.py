@@ -2,7 +2,10 @@
 
 Everything here evaluates defining sums by explicit index loops; none of
 it shares FFT code paths with the library.  Sizes are kept tiny (n <= 9
-at d = 1, n = 3 at d = 2), so O(n^4) loops are fine.
+at d = 1, n = 3 at d = 2), so O(n^4) loops are fine.  The exceptions are
+the averaged-scheme references at the end, which loop over the library's
+single-node ``quantize`` (or, for Born-Jordan, apply the sinc multiplier
+to the symbol), independently of its averaged phase tables.
 """
 
 import numpy as np
@@ -225,3 +228,56 @@ def naive_composition_bound(weights, A, n, d):
             prod *= weights[j].evaluate(T(Xs[j], Xs[j - 1]))
         worst = min(worst, prod)
     return 1.0 / worst
+
+
+# ---------------------------------------------------------------------------
+# averaged schemes as literal sums of single-node quantizations
+
+
+def orthogonal_nodes(d, angle_nodes):
+    """Equal-weight Haar nodes on O(d): {+1, -1} at d = 1; at d = 2,
+    ``angle_nodes`` rotations and as many reflections, each of weight
+    1 / (2 angle_nodes)."""
+    if d == 1:
+        return [(np.array([[1.0]]), 0.5), (np.array([[-1.0]]), 0.5)]
+    nodes = []
+    for j in range(angle_nodes):
+        c, s = np.cos(2 * np.pi * j / angle_nodes), np.sin(2 * np.pi * j / angle_nodes)
+        nodes.append((np.array([[c, -s], [s, c]]), 0.5 / angle_nodes))
+        nodes.append((np.array([[c, s], [s, -c]]), 0.5 / angle_nodes))
+    return nodes
+
+
+def literal_un_avg(a, r, angle_nodes):
+    """sum_U w_U quantize(a, r U + I/2), one quantize per node."""
+    from psdo import quantize
+
+    d = a.grid.d
+    acc = np.zeros(a.data.shape, complex)
+    for U, w in orthogonal_nodes(d, angle_nodes):
+        acc += w * quantize(a, r * U + 0.5 * np.eye(d)).data
+    return acc
+
+
+def literal_un_avg_time(a, r, t_nodes, angle_nodes):
+    """(1/r) times the Gauss-Legendre sum over t in [0, r] of
+    :func:`literal_un_avg` at radius t."""
+    x, w = np.polynomial.legendre.leggauss(t_nodes)
+    acc = np.zeros(a.data.shape, complex)
+    for xi, wi in zip(x, w):
+        acc += (0.5 * wi) * literal_un_avg(a, 0.5 * r * (xi + 1.0), angle_nodes)
+    return acc
+
+
+def multiplier_born_jordan(a):
+    """Born-Jordan as the Weyl quantization of the symbol whose two-block
+    DFT is multiplied by sinc(pi <rep kappa, rep mu>/n)."""
+    from psdo import Symbol, quantize
+    from psdo.grid import rep_coords
+    from psdo.quantizer import _full_dft2
+    from psdo.schemes import bj_multiplier
+
+    grid = a.grid
+    reps = rep_coords(grid).astype(float)
+    ahat = _full_dft2(a.data, grid) * bj_multiplier(2 * np.pi * (reps @ reps.T) / grid.n)
+    return quantize(Symbol(grid, _full_dft2(ahat, grid, inverse=True)), 0.5).data

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from psdo import GridSpec
+from psdo import GridSpec, Symbol, quantize, sharp
 from psdo.arrays import read_array, write_array
-from psdo.cli import main
+from psdo.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,31 @@ def test_scheme_command(tmp_path, capsys, rng):
                          "--params", '{"scheme": {"kind": "bogus"}}',
                          "--out", str(tmp_path / "K.bin"))
     assert code == 3
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, rng):
+    assert build_parser() is build_parser()
+    g = GridSpec(1, 9)
+    a1, a2 = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)) for _ in range(2))
+    p1, p2 = tmp_path / "a1.bin", tmp_path / "a2.bin"
+    write_array(p1, a1, g)
+    write_array(p2, a2, g)
+    jobs = ((a1, p1, 0.37, tmp_path / "K1.bin"), (a2, p2, 0.5, tmp_path / "K2.bin"))
+    for _, path, A, out in jobs:
+        code, _, _ = run_cli(capsys, "quantize", "-i", f"a={path}",
+                             "--params", json.dumps({"A": [A]}), "--out", str(out))
+        assert code == 0
+    for a, _, A, out in jobs:
+        np.testing.assert_array_equal(read_array(out)[0], quantize(Symbol(g, a), A).data)
+    code, _, _ = run_cli(capsys, "compose", "-i", f"a={p1}", "-i", f"b={p2}",
+                         "--params", '{"A": [0.25]}', "--out", str(tmp_path / "c.bin"))
+    assert code == 0
+    c, _ = read_array(tmp_path / "c.bin")
+    np.testing.assert_array_equal(c, sharp(Symbol(g, a1), Symbol(g, a2), 0.25).data)
+    # -i appends to a fresh list per call: input b of the last job is gone
+    code, _, err = run_cli(capsys, "compose", "-i", f"a={p1}", "--out", str(tmp_path / "d.bin"))
+    assert code == 3 and "'b'" in err
+    assert not (tmp_path / "d.bin").exists()
 
 
 def test_transfer_roundtrip(tmp_path, capsys, rng):

@@ -315,22 +315,26 @@ def test_scalar_param_rejects_non_finite_without_warning(t):
 
 
 @pytest.mark.parametrize("A, passes", [(0.0, 1), (0.37, 3), ([[0.3, -0.7], [0.25, 0.5]], 3)])
-def test_quantize_and_dequantize_fft_passes(monkeypatch, rng, A, passes):
+def test_quantize_and_dequantize_fft_passes(fft_calls, rng, A, passes):
     g = GridSpec(2, 5)
     a = Symbol.random(g, rng)
     T = OperatorMatrix(g, a.data)
-    calls = []
-    for name in ("fftn", "ifftn"):
-        def counted(*args, _original=getattr(np.fft, name), **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
     quantize(a, A)
-    assert len(calls) == passes
-    calls.clear()
+    assert len(fft_calls) == passes
+    fft_calls.clear()
     dequantize(T, A)
-    assert len(calls) == passes
+    assert len(fft_calls) == passes
+
+
+@pytest.mark.parametrize("spec", [
+    SchemeSpec("born_jordan"),
+    SchemeSpec("un_avg", {"r": 0.5, "angle_nodes": 4}),
+    SchemeSpec("un_avg_time", {"r": 0.5, "t_nodes": 3, "angle_nodes": 4}),
+])
+def test_averaged_schemes_fft_passes(fft_calls, rng, spec):
+    # one kernel pass with one averaged phase table, whatever the node count
+    quantize_scheme(Symbol.random(GridSpec(2, 5), rng), spec)
+    assert len(fft_calls) == 3
 
 
 @pytest.mark.parametrize("mode, A", [("real", [[0.3, -0.7], [0.25, 0.5]]),
@@ -364,6 +368,8 @@ def test_transforms_leave_their_inputs_untouched(rng, mode, A):
     symbol_modulation_norm(a, MixedNormParams(2, 2), Phi=b)
     if mode == "real":
         quantize_scheme(a, SchemeSpec("born_jordan", {}))
+        quantize_scheme(a, SchemeSpec("un_avg", {"r": 0.5, "angle_nodes": 2}))
+        quantize_scheme(a, SchemeSpec("un_avg_time", {"r": 0.5, "t_nodes": 2, "angle_nodes": 2}))
     else:
         expop_stft_check(a, b, A)
         stft_of_wigner_check(f, phi, f, phi, A)

@@ -18,6 +18,8 @@ from psdo.schemes import (
 )
 from psdo.errors import InvalidDimension, InvalidParams, ModeMismatch, UnsupportedDimension
 
+from reference import literal_un_avg, literal_un_avg_time, multiplier_born_jordan
+
 
 def test_scheme_spec_validation():
     with pytest.raises(InvalidParams):
@@ -61,6 +63,33 @@ def test_bj_requires_real_mode(rng):
     g = GridSpec(1, 9, "mod")
     with pytest.raises(ModeMismatch):
         quantize_scheme(Symbol.random(g, rng), SchemeSpec("born_jordan"))
+
+
+@pytest.mark.parametrize("d, n", [(1, 9), (2, 5)])
+def test_averaged_schemes_match_literal_loops(rng, d, n):
+    # one averaged phase table against one quantize per node (and, for
+    # Born-Jordan, against the sinc-multiplied symbol quantized at Weyl)
+    a = Symbol.random(GridSpec(d, n), rng)
+    cases = [
+        (SchemeSpec("born_jordan"), multiplier_born_jordan(a)),
+        (SchemeSpec("un_avg", {"r": 0.7, "angle_nodes": 5}), literal_un_avg(a, 0.7, 5)),
+        (SchemeSpec("un_avg_time", {"r": 0.6, "t_nodes": 4, "angle_nodes": 3}),
+         literal_un_avg_time(a, 0.6, 4, 3)),
+    ]
+    for spec, want in cases:
+        got = quantize_scheme(a, spec).data
+        assert np.abs(got - want).max() <= 1e-12 * a.norm(), spec.kind
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("spec", [SchemeSpec("un_avg", {"r": 0.3, "angle_nodes": 4}),
+                                  SchemeSpec("un_avg_time", {"r": 0.3, "t_nodes": 3,
+                                                             "angle_nodes": 4})])
+def test_averaged_schemes_mode_mod_raise_before_any_fft(fft_calls, rng, d, spec):
+    a = Symbol.random(GridSpec(d, 5, "mod"), rng)
+    with pytest.raises(ModeMismatch):
+        quantize_scheme(a, spec)
+    assert fft_calls == []
 
 
 def test_un_avg_r0_is_weyl(rng, grid9):
@@ -124,6 +153,9 @@ def test_bj_multiplier_values():
     thetas = np.array([1e-5, 5e-5, 9.9e-5, 1.01e-4, 2e-4])
     direct = np.sin(thetas / 2) / (thetas / 2)
     np.testing.assert_allclose(bj_multiplier(thetas), direct, rtol=1e-12)
+    # off the series patch the values are exactly sin(u)/u
+    big = np.concatenate([thetas[3:], -thetas[3:], np.linspace(-40.0, 40.0, 1000)])
+    np.testing.assert_array_equal(bj_multiplier(big), np.sin(big / 2) / (big / 2))
 
 
 def test_psi_values():
