@@ -9,6 +9,8 @@ payload, row-major.  Binary roundtrips are bit-exact.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -30,18 +32,33 @@ def _header(data: np.ndarray, grid: GridSpec) -> dict:
     }
 
 
-def _parse_header(header: dict) -> GridSpec:
+def _parse_header(text, path) -> tuple:
+    """(grid, shape) from a header's JSON text (str, or UTF-8 bytes)."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        header = json.loads(text)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValidationError(f"{path}: unreadable array header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: array header must be a JSON object")
+    shape = header.get("shape")
+    if not (isinstance(shape, list)
+            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)):
+        raise ValidationError(f"{path}: header shape must be a list of non-negative integers, "
+                              f"got {shape!r}")
     try:
         g = header["grid"]
-        return GridSpec(int(g["d"]), int(g["n"]), g.get("mode", "real"))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed array header: {exc}") from exc
+        grid = GridSpec(int(g["d"]), int(g["n"]), g.get("mode", "real"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed array header: {exc}") from exc
+    return grid, tuple(shape)
 
 
 def write_array(path, data, grid: GridSpec) -> None:
     """Write a complex array to .csv or .bin, selected by extension."""
     path = str(path)
-    data = np.ascontiguousarray(np.asarray(data, dtype=np.complex128))
+    data = np.ascontiguousarray(data, dtype="<c16")
     header = _header(data, grid)
     if path.endswith(".csv"):
         flat = data.ravel()
@@ -53,49 +70,54 @@ def write_array(path, data, grid: GridSpec) -> None:
     elif path.endswith(".bin"):
         blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(data.astype("<c16").tobytes(order="C"))
+            fh.write(_MAGIC + struct.pack("<I", len(blob)) + blob)
+            fh.write(data)  # the array's own buffer: no copy
     else:
         raise ValidationError(f"unsupported array extension (want .csv or .bin): {path}")
+
+
+def _read_bin(path):
+    """(data, grid) of a .bin file.  The header's payload size is checked
+    against the file size before anything is allocated, and the payload is
+    read straight into the returned array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != _MAGIC:
+            raise ValidationError(f"{path}: bad magic {magic!r}")
+        if size < 8:
+            raise ValidationError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<I", fh.read(4))
+        if 8 + hlen > size:
+            raise ValidationError(f"{path}: header length {hlen} runs past the end of the file")
+        grid, shape = _parse_header(fh.read(hlen), path)
+        nbytes = 16 * math.prod(shape)
+        if size - 8 - hlen != nbytes:
+            raise ValidationError(f"{path}: payload has {size - 8 - hlen} bytes, header says {nbytes}")
+        data = np.empty(nbytes // 16, dtype="<c16")
+        if fh.readinto(data) != nbytes or fh.read(1):
+            raise ValidationError(f"{path}: file changed size while it was read")
+    return data.reshape(shape), grid
 
 
 def read_array(path):
     """Read an array file; returns (data, grid)."""
     path = str(path)
-    if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if not first.startswith("#"):
-                raise ValidationError(f"{path}: missing header line")
-            header = json.loads(first[1:].strip())
-            second = fh.readline().strip()
-            if second != "re,im":
-                raise ValidationError(f"{path}: expected 're,im' column line, got {second!r}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    elif path.endswith(".bin"):
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise ValidationError(f"{path}: bad magic {magic!r}")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            payload = fh.read()
-        rows = None
-    else:
+    if path.endswith(".bin"):
+        return _read_bin(path)
+    if not path.endswith(".csv"):
         raise ValidationError(f"unsupported array extension (want .csv or .bin): {path}")
-
-    grid = _parse_header(header)
-    shape = tuple(int(s) for s in header["shape"])
-    count = int(np.prod(shape))
-    if rows is None:
-        if len(payload) != 16 * count:
-            raise ValidationError(f"{path}: payload has {len(payload)} bytes, header says {16 * count}")
-        data = np.frombuffer(payload, dtype="<c16")
-        data = data.astype(np.complex128).reshape(shape)
-    else:
-        if rows.shape != (count, 2):
-            raise ValidationError(f"{path}: payload has shape {rows.shape}, header says {count} rows")
-        data = (rows[:, 0] + 1j * rows[:, 1]).reshape(shape)
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.startswith("#"):
+            raise ValidationError(f"{path}: missing header line")
+        grid, shape = _parse_header(first[1:], path)
+        second = fh.readline().strip()
+        if second != "re,im":
+            raise ValidationError(f"{path}: expected 're,im' column line, got {second!r}")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    count = math.prod(shape)
+    if rows.shape != (count, 2):
+        raise ValidationError(f"{path}: payload has shape {rows.shape}, header says {count} rows")
+    data = (rows[:, 0] + 1j * rows[:, 1]).reshape(shape)
     return data, grid

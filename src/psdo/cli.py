@@ -113,7 +113,9 @@ def _cmd_quantize(args):
     A = _matrix_param(params, grid)
     K = routes[route](a, A)
     write_array(out, K.data, grid)
-    defect = float(np.abs(K.data - K.data.conj().T).max())
+    D = np.conjugate(K.data.T, order="C")
+    np.subtract(K.data, D, out=D)
+    defect = float(np.abs(D).max())
     _echo({"frobenius_norm": K.norm(), "hermiticity_defect": defect, "route": route})
     return 0
 

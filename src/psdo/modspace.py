@@ -285,8 +285,8 @@ def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
     """
     _require_axes(omega.axes, v)
     if grid.size ** (2 * len(omega.axes)) > PAIR_LIMIT:
-        X, Y = _tuple_points(grid, omega.axes, 2)
-        return _worst(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y)))
+        return _worst(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y))
+                      for X, Y in _tuple_chunks(grid, omega.axes, 2))
     X = _flat_domain_points(grid, omega.axes)
     wX = omega.evaluate(X)
     vX = v.evaluate(X)
@@ -485,22 +485,27 @@ def _require_axes(axes, *weights):
             raise DomainMismatch(f"weight has axes {tuple(w.axes)}, expected {tuple(axes)}")
 
 
-def _tuple_points(grid, axes, blocks, seed=0):
-    """`blocks` arrays of physical points on the `axes` domain whose rows
-    run over every tuple (at most PAIR_LIMIT of them) or over PAIR_SAMPLES
+def _tuple_chunks(grid, axes, blocks, seed=0):
+    """Chunks of at most PAIR_SAMPLES tuples, each a list of `blocks` arrays
+    of physical points on the `axes` domain.  Their rows run, in row-major
+    order, over every tuple (at most PAIR_LIMIT of them) or over PAIR_SAMPLES
     random tuples drawn with `seed`."""
     P = _flat_domain_points(grid, axes)
     count = P.shape[0]
-    if count**blocks <= PAIR_LIMIT:
-        grids = np.meshgrid(*([np.arange(count)] * blocks), indexing="ij")
-        return [P[g.ravel()] for g in grids]
-    rng = np.random.default_rng(seed)
-    return [P[rng.integers(0, count, size=PAIR_SAMPLES)] for _ in range(blocks)]
+    total = count**blocks
+    if total > PAIR_LIMIT:
+        rng = np.random.default_rng(seed)
+        yield [P[rng.integers(0, count, size=PAIR_SAMPLES)] for _ in range(blocks)]
+        return
+    for start in range(0, total, PAIR_SAMPLES):
+        flat = np.arange(start, min(start + PAIR_SAMPLES, total))
+        yield [P[i] for i in np.unravel_index(flat, (count,) * blocks)]
 
 
-def _worst(q):
-    """(finite, C) for the worst sampled constant C = max q."""
-    best = float(q.max())
+def _worst(qs):
+    """(finite, C) for the worst sampled constant C = max over the chunks
+    of q; a NaN in any chunk makes C NaN."""
+    best = float(np.max([q.max() for q in qs]))
     return bool(np.isfinite(best)), best
 
 
@@ -524,9 +529,12 @@ def holds_kernel_weight_bound(omega: Weight, omega1: Weight, omega2: Weight, gri
     """
     _require_axes(KERNEL_AXES, omega)
     d = grid.d
-    X, Y = _tuple_points(grid, TF_AXES, 2)
-    arg = np.concatenate([X[:, :d], Y[:, :d], X[:, d:], -Y[:, d:]], axis=1)
-    return _worst(omega2.evaluate(X) / (omega1.evaluate(Y) * omega.evaluate(arg)))
+
+    def q(X, Y):
+        arg = np.concatenate([X[:, :d], Y[:, :d], X[:, d:], -Y[:, d:]], axis=1)
+        return omega2.evaluate(X) / (omega1.evaluate(Y) * omega.evaluate(arg))
+
+    return _worst(q(X, Y) for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
 
 def holds_kernel_symbol_weight_equiv(omega: Weight, omega0: Weight, A, grid: GridSpec):
@@ -541,11 +549,14 @@ def holds_kernel_symbol_weight_equiv(omega: Weight, omega0: Weight, A, grid: Gri
     _require_axes(SYMBOL_AXES, omega0)
     d = grid.d
     Amat = as_matrix_param(A, d).entries
-    X, Y = _tuple_points(grid, TF_AXES, 2)
-    lhs = omega.evaluate(np.concatenate([X[:, :d], Y[:, :d], X[:, d:], Y[:, d:]], axis=1))
-    Y[:, d:] *= -1.0  # (y, -eta)
-    rhs = omega0.evaluate(transfer_pair_coords(Y, X, Amat))
-    return _worst(np.maximum(lhs / rhs, rhs / lhs))
+
+    def q(X, Y):
+        lhs = omega.evaluate(np.concatenate([X[:, :d], Y[:, :d], X[:, d:], Y[:, d:]], axis=1))
+        Y[:, d:] *= -1.0  # (y, -eta)
+        rhs = omega0.evaluate(transfer_pair_coords(Y, X, Amat))
+        return np.maximum(lhs / rhs, rhs / lhs)
+
+    return _worst(q(X, Y) for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
 
 def holds_wigner_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A,
@@ -558,9 +569,9 @@ def holds_wigner_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A,
     over phase points X = (x, xi), Y = (y, eta).  Returns (finite, C_est)."""
     _require_axes(SYMBOL_AXES, omega0)
     Amat = as_matrix_param(A, grid.d).entries
-    X, Y = _tuple_points(grid, TF_AXES, 2)
     return _worst(omega0.evaluate(transfer_pair_coords(Y, X, Amat))
-                  / (omega1.evaluate(X) * omega2.evaluate(Y)))
+                  / (omega1.evaluate(X) * omega2.evaluate(Y))
+                  for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
 
 def holds_op_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A, grid: GridSpec):
@@ -573,9 +584,9 @@ def holds_op_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A, gri
     spaces.  Returns (finite, C_est)."""
     _require_axes(SYMBOL_AXES, omega0)
     Amat = as_matrix_param(A, grid.d).entries
-    X, Y = _tuple_points(grid, TF_AXES, 2)
     return _worst(omega2.evaluate(X)
-                  / (omega1.evaluate(Y) * omega0.evaluate(transfer_pair_coords(Y, X, Amat))))
+                  / (omega1.evaluate(Y) * omega0.evaluate(transfer_pair_coords(Y, X, Amat)))
+                  for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
 
 def holds_composition_weight_bound(weights, A, grid: GridSpec, seed=0):
@@ -590,8 +601,11 @@ def holds_composition_weight_bound(weights, A, grid: GridSpec, seed=0):
         raise ArityMismatch("need at least omega_0 and omega_1")
     N = len(weights) - 1
     Amat = as_matrix_param(A, grid.d).entries
-    X = _tuple_points(grid, TF_AXES, N + 1, seed)
-    prod = weights[0].evaluate(transfer_pair_coords(X[N], X[0], Amat))
-    for j in range(1, N + 1):
-        prod = prod * weights[j].evaluate(transfer_pair_coords(X[j], X[j - 1], Amat))
-    return _worst(1.0 / prod)
+
+    def q(X):
+        prod = weights[0].evaluate(transfer_pair_coords(X[N], X[0], Amat))
+        for j in range(1, N + 1):
+            prod = prod * weights[j].evaluate(transfer_pair_coords(X[j], X[j - 1], Amat))
+        return 1.0 / prod
+
+    return _worst(q(X) for X in _tuple_chunks(grid, TF_AXES, N + 1, seed))

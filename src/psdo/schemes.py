@@ -42,8 +42,8 @@ _KINDS = ("kn", "weyl", "t", "born_jordan", "un_avg", "un_avg_time")
 class SchemeSpec:
     """Quantization scheme descriptor, JSON form {kind, params}.
 
-    kinds: kn; weyl; t(t); born_jordan(quad_nodes); un_avg(r, angle_nodes);
-    un_avg_time(r, t_nodes, angle_nodes).
+    kinds: kn; weyl; t(t); born_jordan (no params: the t-average is
+    exact); un_avg(r, angle_nodes); un_avg_time(r, t_nodes, angle_nodes).
     """
 
     kind: str
@@ -55,8 +55,9 @@ class SchemeSpec:
         p = dict(self.params)
         if self.kind == "t":
             p.setdefault("t", 0.5)
-        if self.kind == "born_jordan":
-            p.setdefault("quad_nodes", 20)
+        if self.kind == "born_jordan" and "quad_nodes" in p:
+            raise InvalidParams("born_jordan averages over t exactly and takes no quad_nodes; "
+                                "the quadrature is born_jordan_quadrature(nodes=...)")
         if self.kind in ("un_avg", "un_avg_time"):
             p.setdefault("r", 0.0)
             p.setdefault("angle_nodes", 64)
@@ -64,7 +65,7 @@ class SchemeSpec:
                 raise InvalidParams(f"r must be finite and >= 0, got {p['r']}")
         if self.kind == "un_avg_time":
             p.setdefault("t_nodes", 20)
-        for key in ("quad_nodes", "angle_nodes", "t_nodes"):
+        for key in ("angle_nodes", "t_nodes"):
             if key in p and p[key] < 1:
                 raise InvalidParams(f"{key} must be >= 1, got {p[key]}")
         object.__setattr__(self, "params", p)

@@ -2,6 +2,7 @@
 small validator covering the schema subset those files use (type,
 required, properties, enum, items, minimum)."""
 
+import functools
 import json
 import math
 from importlib import resources
@@ -26,6 +27,11 @@ def load_schema(name: str) -> dict:
         raise ValidationError(f"unknown schema {name!r}; have {SCHEMA_NAMES}")
     ref = resources.files("psdo").joinpath(f"schemas/{name}.schema.json")
     return json.loads(ref.read_text(encoding="utf-8"))
+
+
+# validate() reads each schema once per process and never mutates it;
+# load_schema() keeps handing callers a fresh dict.
+_cached_schema = functools.cache(load_schema)
 
 
 def _type_ok(value, typename: str) -> bool:
@@ -67,4 +73,4 @@ def _validate(value, schema: dict, path: str):
 
 def validate(value, schema_name: str) -> None:
     """Raise :class:`ValidationError` if value does not match the schema."""
-    _validate(value, load_schema(schema_name), schema_name)
+    _validate(value, _cached_schema(schema_name), schema_name)

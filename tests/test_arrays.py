@@ -1,10 +1,21 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from psdo import GridSpec
 from psdo.arrays import read_array, write_array
+from psdo.cli import main
 from psdo.errors import ValidationError
 from psdo.validation import validate, load_schema
+
+
+def _bin_file(path, header, payload=b""):
+    """A .bin file built by hand: magic, header length, header, payload."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    path.write_bytes(b"PSDO" + struct.pack("<I", len(blob)) + blob + payload)
+    return path
 
 
 def test_bin_roundtrip_bit_exact(tmp_path, rng):
@@ -56,6 +67,73 @@ def test_payload_length_mismatch(tmp_path):
         read_array(path)
 
 
+def test_bin_bytes_are_the_documented_format(tmp_path, rng):
+    g = GridSpec(1, 9, "mod")
+    data = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    path = tmp_path / "a.bin"
+    write_array(path, data, g)
+    header = {"shape": [9, 9], "dtype": "complex128", "layout": "row-major",
+              "grid": {"d": 1, "n": 9, "mode": "mod"}}
+    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    assert path.read_bytes() == (b"PSDO" + struct.pack("<I", len(blob)) + blob
+                                 + data.astype("<c16").tobytes())
+    # a transposed (non-contiguous) view is written in row-major order
+    write_array(path, data.T, g)
+    assert path.read_bytes().endswith(np.ascontiguousarray(data.T).astype("<c16").tobytes())
+
+
+_GRID3 = {"d": 1, "n": 3, "mode": "real"}
+
+
+def test_bin_header_larger_than_file_is_rejected_before_allocating(tmp_path):
+    # 10**12 entries would need 16 TB; the size check must fire first
+    path = _bin_file(tmp_path / "huge.bin", {"shape": [10**6, 10**6], "grid": _GRID3})
+    with pytest.raises(ValidationError, match="payload"):
+        read_array(path)
+
+
+def test_bin_trailing_byte_is_rejected(tmp_path):
+    path = tmp_path / "a.bin"
+    write_array(path, np.ones((3, 3)), GridSpec(1, 3))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValidationError, match="payload"):
+        read_array(path)
+
+
+def test_bin_truncated_header_is_rejected(tmp_path):
+    path = _bin_file(tmp_path / "a.bin", {"shape": [3, 3], "grid": _GRID3})
+    blob = path.read_bytes()
+    for cut in (6, len(blob) - 2):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValidationError):
+            read_array(path)
+
+
+MALFORMED_HEADERS = {
+    "no_shape": {"dtype": "complex128", "layout": "row-major", "grid": _GRID3},
+    "not_utf8": b'{"shape": [3, 3], "grid": {"d": 1, "n": 3}, "note": "\xff"}',
+    "negative_shape": {"shape": [-3, -3], "grid": _GRID3},
+    "not_an_object": [3, 3],
+    "float_shape": {"shape": [3.0, 3], "grid": _GRID3},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_bin_header_is_validation_error(tmp_path, case):
+    path = _bin_file(tmp_path / "a.bin", MALFORMED_HEADERS[case], bytes(144))
+    with pytest.raises(ValidationError):
+        read_array(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_bin_header_cli_exits_3(tmp_path, capsys, case):
+    path = _bin_file(tmp_path / "a.bin", MALFORMED_HEADERS[case], bytes(144))
+    code = main(["transfer", "--d", "1", "--n", "3", "-i", f"a={path}",
+                 "--out", str(tmp_path / "out.bin")])
+    assert code == 3
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_schema_validation():
     manifest = {
         "grid": {"d": 1, "n": 9, "mode": "real"},
@@ -72,6 +150,17 @@ def test_schema_validation():
         validate({k: v for k, v in manifest.items() if k != "grid"}, "manifest")
     with pytest.raises(ValidationError):
         validate({**manifest, "grid": {"d": 0, "n": 9}}, "manifest")
+
+
+def test_validate_ignores_mutated_schema_copies():
+    manifest = {"grid": {"d": 1, "n": 9}, "inputs": {}, "operation": "quantize", "params": {},
+                "output": "out.bin"}
+    validate(manifest, "manifest")
+    schema = load_schema("manifest")
+    schema["required"].append("bogus")
+    schema["properties"]["operation"]["enum"] = ["nothing"]
+    validate(manifest, "manifest")
+    assert load_schema("manifest") != schema
 
 
 def test_all_schemas_load():

@@ -46,6 +46,18 @@ def test_quantize_weyl_hermiticity_reported(tmp_path, capsys, rng):
     assert json.loads(stdout)["hermiticity_defect"] <= 1e-11
 
 
+def test_quantize_hermiticity_defect_is_max_abs_of_k_minus_k_star(tmp_path, capsys, rng):
+    apath = tmp_path / "a.bin"
+    _write_symbol(apath, rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    out = tmp_path / "K.bin"
+    code, stdout, _ = run_cli(capsys, "quantize", "--input", f"a={apath}",
+                              "--params", '{"A": [0.37]}', "--out", str(out))
+    assert code == 0
+    K, _ = read_array(out)
+    defect = json.loads(stdout)["hermiticity_defect"]
+    assert defect == float(np.abs(K - K.conj().T).max()) > 0.1
+
+
 def test_quantize_kernel_route(tmp_path, capsys, rng):
     # the default route "kernel" runs quantize; "multiplier" runs the
     # independent Op_0(T_A a) construction, and each echoes its name

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import reference as ref
-from psdo import GridSpec, Signal, Symbol, gaussian_window
+import psdo.modspace as ms
+from psdo import GridSpec, Signal, Symbol, gaussian_window, verify
 from psdo.modspace import (
     INF,
     ExponentTuple,
@@ -358,6 +360,32 @@ def test_weight_bounds_trivial(grid9):
         holds_composition_weight_bound((one4s, one4s, one4s), 0.37, grid9),
     ):
         assert ok and c == pytest.approx(1.0)
+
+
+def test_weight_bounds_trivial_check_memory():
+    # at n=9, d=1 the composition bound runs over all 81^3 = 531441 triples;
+    # in chunks of PAIR_SAMPLES rows the check stays far below the 65 MiB
+    # that materializing every triple at once takes
+    check = next(c for c in verify.CHECKS if c.name == "weight_bounds_trivial")
+    tracemalloc.start()
+    try:
+        measure = check.fn(verify.Context(9, 1, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measure == 0.0
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
+def test_exhaustive_chunks_match_one_batch(monkeypatch, grid9):
+    # the 81^3 triples run in 6 chunks; the max over the chunks is the max
+    # over one batch of all triples, bit for bit
+    weights = (make_weight("polynomial", axes=SYMBOL_AXES, s=2.0),
+               make_weight("polynomial", axes=SYMBOL_AXES, s=-1.0),
+               make_weight("exponential", axes=SYMBOL_AXES, c=0.2, s=1.0))
+    chunked = holds_composition_weight_bound(weights, 0.37, grid9)
+    monkeypatch.setattr(ms, "PAIR_SAMPLES", ms.PAIR_LIMIT)
+    assert holds_composition_weight_bound(weights, 0.37, grid9) == chunked
 
 
 def test_wigner_weight_bound_polynomial(grid9):

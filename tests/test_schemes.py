@@ -33,6 +33,13 @@ def test_scheme_spec_validation():
     assert SchemeSpec.from_descriptor(spec.descriptor()) == spec
 
 
+def test_born_jordan_takes_no_quad_nodes():
+    # the closed form averages over t exactly: a node count is never read
+    assert SchemeSpec("born_jordan").descriptor() == {"kind": "born_jordan", "params": {}}
+    with pytest.raises(InvalidParams, match=r"born_jordan_quadrature\(nodes=\.\.\.\)"):
+        SchemeSpec("born_jordan", {"quad_nodes": 20})
+
+
 def test_bj_of_constant_is_identity(grid9):
     K = quantize_scheme(Symbol.constant(grid9), SchemeSpec("born_jordan")).data
     np.testing.assert_allclose(K, np.eye(9), atol=1e-13)
