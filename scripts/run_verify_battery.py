@@ -2,18 +2,37 @@
 """Run the identity suite over the desk-scale grid battery and collect the
 JSON reports, each with a timing sidecar of per-check wall times.
 
+Each grid runs in its own `python -m psdo verify` child process, so each
+grid's peak RSS is its own; after the child's table the script prints the
+grid's wall time and peak RSS.  psdo must be importable by the child (for
+example with PYTHONPATH=src).
+
 Usage:
     python scripts/run_verify_battery.py [--seed 42] [--outdir reports]
 """
 
 import argparse
+import os
 import pathlib
 import sys
 import time
 
-from psdo.verify import _run_suite, _timing_to_json, format_table, report_to_json
-
 BATTERY = [(9, 1), (17, 1), (33, 1), (65, 1), (9, 2), (15, 2)]
+
+
+def run_grid(n, d, seed, outdir):
+    """Run `psdo verify all` on one grid in a child process, writing its
+    report and timing sidecar into outdir; returns (exit code, wall time in
+    s, peak RSS in MB)."""
+    stem = outdir / f"verify_n{n}_d{d}"
+    argv = [sys.executable, "-m", "psdo", "verify", "all", "--n", str(n), "--d", str(d),
+            "--seed", str(seed), "--json-out", f"{stem}.json", "--timing-out", f"{stem}_timing.json"]
+    t0 = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, os.environ)
+    # this child's own rusage: RUSAGE_CHILDREN holds the largest peak of any
+    # child so far, which only ever rises from grid to grid
+    _, status, usage = os.wait4(pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss / 1024
 
 
 def main():
@@ -26,14 +45,10 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for n, d in BATTERY:
-        t0 = time.perf_counter()
-        report, walls = _run_suite("all", n, d, args.seed)
-        dt = time.perf_counter() - t0
-        print(format_table(report))
-        print(f"[{dt:.1f}s]\n")
-        (outdir / f"verify_n{n}_d{d}.json").write_bytes(report_to_json(report))
-        (outdir / f"verify_n{n}_d{d}_timing.json").write_bytes(_timing_to_json(report, walls))
-        all_ok &= report["passed"]
+        sys.stdout.flush()
+        code, wall, rss_mb = run_grid(n, d, args.seed, outdir)
+        print(f"[n={n} d={d}: {wall:.1f}s, peak RSS {rss_mb:.1f} MB, exit {code}]\n", flush=True)
+        all_ok &= code == 0
     return 0 if all_ok else 1
 
 

@@ -58,7 +58,7 @@ def _parse_header(text, path) -> tuple:
 def write_array(path, data, grid: GridSpec) -> None:
     """Write a complex array to .csv or .bin, selected by extension."""
     path = str(path)
-    data = np.ascontiguousarray(data, dtype="<c16")
+    data = np.asarray(data, dtype="<c16", order="C")  # keeps a 0-d shape, unlike ascontiguousarray
     header = _header(data, grid)
     if path.endswith(".csv"):
         flat = data.ravel()
@@ -115,8 +115,13 @@ def read_array(path):
         second = fh.readline().strip()
         if second != "re,im":
             raise ValidationError(f"{path}: expected 're,im' column line, got {second!r}")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    count = math.prod(shape)
+        count = math.prod(shape)
+        if count:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        elif fh.read().strip():  # np.loadtxt would read an empty body as shape (0, 1)
+            raise ValidationError(f"{path}: header says 0 rows, payload is not empty")
+        else:
+            rows = np.empty((0, 2))
     if rows.shape != (count, 2):
         raise ValidationError(f"{path}: payload has shape {rows.shape}, header says {count} rows")
     data = (rows[:, 0] + 1j * rows[:, 1]).reshape(shape)

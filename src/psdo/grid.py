@@ -156,6 +156,12 @@ class OperatorMatrix:
 # grids whose index tables stay cached, per table kind
 CACHE_SIZE = 32
 
+# entries per block of every streamed evaluation: the frequency columns of
+# the phase-space STFT, the tuples of the weight-condition estimators and the
+# jittered angles of the stratified samplers; peak memory then does not grow
+# with the sample count
+_BLOCK_ENTRIES = 2**16
+
 
 def rep(k: int, n: int) -> int:
     """Centered representative: the unique r = k (mod n) with |r| <= (n-1)/2."""

@@ -29,7 +29,7 @@ from .errors import (
     SizeLimit,
     TooFewEntries,
 )
-from .grid import GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords
+from .grid import GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords, _BLOCK_ENTRIES
 from .quantizer import as_matrix_param
 from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _stft_columns
 
@@ -71,7 +71,8 @@ KERNEL_AXES = ("pos", "pos", "freq", "freq")  # kernel phase space (x, y, xi, et
 
 # The weight-condition estimators take the worst constant over every tuple
 # of phase-space points when there are at most PAIR_LIMIT tuples, and over
-# PAIR_SAMPLES fixed-seed random tuples otherwise.
+# PAIR_SAMPLES fixed-seed random tuples otherwise, evaluated in blocks of
+# at most grid._BLOCK_ENTRIES point coordinates.
 PAIR_LIMIT = 10**6
 PAIR_SAMPLES = 10**5
 
@@ -486,19 +487,23 @@ def _require_axes(axes, *weights):
 
 
 def _tuple_chunks(grid, axes, blocks, seed=0):
-    """Chunks of at most PAIR_SAMPLES tuples, each a list of `blocks` arrays
-    of physical points on the `axes` domain.  Their rows run, in row-major
-    order, over every tuple (at most PAIR_LIMIT of them) or over PAIR_SAMPLES
-    random tuples drawn with `seed`."""
+    """Chunks of tuples, each a list of `blocks` arrays of physical points
+    on the `axes` domain, with at most _BLOCK_ENTRIES coordinates in all.
+    Their rows run, in row-major order, over every tuple (at most PAIR_LIMIT
+    of them) or over PAIR_SAMPLES random tuples, whose indices are all drawn
+    with `seed` before the first chunk."""
     P = _flat_domain_points(grid, axes)
     count = P.shape[0]
     total = count**blocks
+    rows = max(1, _BLOCK_ENTRIES // (blocks * P.shape[1]))
     if total > PAIR_LIMIT:
         rng = np.random.default_rng(seed)
-        yield [P[rng.integers(0, count, size=PAIR_SAMPLES)] for _ in range(blocks)]
+        picks = [rng.integers(0, count, size=PAIR_SAMPLES) for _ in range(blocks)]
+        for start in range(0, PAIR_SAMPLES, rows):
+            yield [P[i[start:start + rows]] for i in picks]
         return
-    for start in range(0, total, PAIR_SAMPLES):
-        flat = np.arange(start, min(start + PAIR_SAMPLES, total))
+    for start in range(0, total, rows):
+        flat = np.arange(start, min(start + rows, total))
         yield [P[i] for i in np.unravel_index(flat, (count,) * blocks)]
 
 

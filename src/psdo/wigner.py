@@ -22,6 +22,7 @@ from .grid import (
     index_coords,
     flatten_coords,
     doubled,
+    _BLOCK_ENTRIES,
     _coerce,
     _fftn,
     _partial_dft_core,
@@ -43,9 +44,6 @@ __all__ = [
 # dense (N, N, N, N) arrays are only materialized below this entry count; above
 # it the pointwise 4d checks read a sample of FOURD_LIMIT // N^2 frequency columns
 FOURD_LIMIT = 2_000_000
-
-# entries per block of frequency columns streamed by _stft_columns
-_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)

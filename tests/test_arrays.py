@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -180,3 +181,26 @@ def test_repo_schemas_match_package():
     for name in ("manifest", "arrayfile_header", "weight", "scheme", "verify_report"):
         packaged = resources.files("psdo").joinpath(f"schemas/{name}.schema.json").read_text()
         assert (repo / f"{name}.schema.json").read_text() == packaged
+
+
+@pytest.mark.parametrize("ext", [".csv", ".bin"])
+@pytest.mark.parametrize("shape", [(0,), (3, 0, 2), ()])
+def test_zero_size_and_0d_roundtrip(tmp_path, ext, shape):
+    # an empty CSV body is 0 rows, not shape (0, 1); a 0-d array keeps
+    # shape () instead of being promoted to (1,)
+    g = GridSpec(1, 3)
+    data = np.arange(math.prod(shape)).reshape(shape) * (1 - 2j)
+    path = tmp_path / f"a{ext}"
+    write_array(path, data, g)
+    back, grid = read_array(path)
+    assert grid == g and back.shape == shape
+    assert np.array_equal(back, data)
+
+
+def test_csv_zero_rows_with_payload_rejected(tmp_path):
+    path = tmp_path / "a.csv"
+    write_array(path, np.zeros((2, 0)), GridSpec(1, 3))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("1.0,2.0\n")
+    with pytest.raises(ValidationError):
+        read_array(path)

@@ -362,30 +362,49 @@ def test_weight_bounds_trivial(grid9):
         assert ok and c == pytest.approx(1.0)
 
 
-def test_weight_bounds_trivial_check_memory():
-    # at n=9, d=1 the composition bound runs over all 81^3 = 531441 triples;
-    # in chunks of PAIR_SAMPLES rows the check stays far below the 65 MiB
-    # that materializing every triple at once takes
-    check = next(c for c in verify.CHECKS if c.name == "weight_bounds_trivial")
+def test_every_check_memory():
+    # every check at n=9, d=1 evaluates its samples, tuples and STFT columns
+    # in blocks of grid._BLOCK_ENTRIES entries: no check's traced peak comes
+    # near the 12-23 MiB that drawing a whole sample set at once takes (the
+    # composition bound alone runs over 81^3 = 531441 triples)
+    ctx = verify.Context(9, 1, 7)
+    peaks = {}
     tracemalloc.start()
     try:
-        measure = check.fn(verify.Context(9, 1, 7))
-        peak = tracemalloc.get_traced_memory()[1]
+        for check in verify.CHECKS:
+            tracemalloc.reset_peak()
+            measure = check.fn(ctx)
+            peaks[check.name] = tracemalloc.get_traced_memory()[1]
+            if check.name == "weight_bounds_trivial":
+                assert measure == 0.0
     finally:
         tracemalloc.stop()
-    assert measure == 0.0
-    assert peak <= 16 * 2**20, peak / 2**20
+    worst = max(peaks, key=peaks.get)
+    assert peaks[worst] <= 4 * 2**20, (worst, peaks[worst] / 2**20)
 
 
-def test_exhaustive_chunks_match_one_batch(monkeypatch, grid9):
-    # the 81^3 triples run in 6 chunks; the max over the chunks is the max
-    # over one batch of all triples, bit for bit
+def test_exhaustive_chunks_match_one_batch(monkeypatch):
+    # at n=9 the 81^3 triples run exhaustively in blocks, at n=33 the
+    # 1089^2 > PAIR_LIMIT pairs and the triples are sampled and then run in
+    # blocks; either way the max over the blocks is the max over one batch
+    # of all tuples, bit for bit
     weights = (make_weight("polynomial", axes=SYMBOL_AXES, s=2.0),
                make_weight("polynomial", axes=SYMBOL_AXES, s=-1.0),
                make_weight("exponential", axes=SYMBOL_AXES, c=0.2, s=1.0))
-    chunked = holds_composition_weight_bound(weights, 0.37, grid9)
-    monkeypatch.setattr(ms, "PAIR_SAMPLES", ms.PAIR_LIMIT)
-    assert holds_composition_weight_bound(weights, 0.37, grid9) == chunked
+    w1 = make_weight("polynomial", s=1.0)
+
+    def bounds(grid):
+        return (holds_composition_weight_bound(weights, 0.37, grid),
+                holds_wigner_weight_bound(weights[0], w1, w1, 0.37, grid))
+
+    for n in (9, 33):
+        grid = GridSpec(1, n)
+        assert len(list(ms._tuple_chunks(grid, ms.TF_AXES, 3))) > 1
+        blocked = bounds(grid)
+        with monkeypatch.context() as m:
+            m.setattr(ms, "_BLOCK_ENTRIES", 10**9)
+            assert len(list(ms._tuple_chunks(grid, ms.TF_AXES, 3))) == 1
+            assert bounds(grid) == blocked
 
 
 def test_wigner_weight_bound_polynomial(grid9):

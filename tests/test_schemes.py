@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import psdo.schemes as sch
 from psdo import GridSpec, Symbol, quantize
 from psdo.schemes import (
     SchemeSpec,
@@ -209,6 +210,18 @@ def test_psi2_against_sphere_average():
         ratios.append(mc / psi(2, rho))
     assert max(abs(r - ratios[0]) for r in ratios) <= 1e-3
     assert ratios[0] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_sphere_average_exp_matches_one_shot():
+    # the blocked sampler draws the same angles as one draw of every
+    # sample, so only the summation order of the mean differs
+    for samples in (1000, 200_000):  # one block; several with a short last one
+        rng = np.random.default_rng(3)
+        angles = 2.0 * np.pi * (np.arange(samples) + rng.random(samples)) / samples
+        blocks = list(sch._stratified_angles(np.random.default_rng(3), samples))
+        assert np.array_equal(np.concatenate(blocks), angles)
+        one_shot = float(np.mean(np.exp(1.3 * np.cos(angles))))
+        assert abs(sphere_average_exp(1.3, samples, seed=3) - one_shot) <= 1e-15 * one_shot
 
 
 def test_psi0_d2_quadrature():
