@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from psdo import GridSpec, Symbol, quantize, sharp
+from psdo import (GridSpec, MixedNormParams, SchemeSpec, Signal, Symbol, as_matrix_param, make_weight,
+                  modulation_norm, multiplier_route, quantize, quantize_scheme, schatten_norm, sharp, stft,
+                  symbol_transfer, wigner)
 from psdo.arrays import read_array, write_array
-from psdo.cli import build_parser, main
+from psdo.cli import OP_COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -373,3 +375,79 @@ def test_cli_entry_module():
     out = subprocess.run([sys.executable, "-m", "psdo", "verify", "--help"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and "calculus" in out.stdout
+
+
+def _pin_job(command, grid, rng):
+    """One op job's inputs and params, and what the library gives for them
+    directly: (inputs, params, output array or None, stdout object)."""
+    d, N = grid.d, grid.size
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if grid.mode == "mod":
+        A = [1] if d == 1 else [1, 2, 0, 1]
+    else:
+        A = [0.37] if d == 1 else [0.37, -0.2, 0.15, 0.5]
+    Ap = as_matrix_param(np.asarray(A, dtype=float).reshape(d, d), d)
+    if command in ("wigner", "stft"):
+        f, g = Signal(grid, draw(N)), Signal(grid, draw(N))
+        names = ("f1", "f2") if command == "wigner" else ("f", "phi")
+        out = wigner(f, g, Ap) if command == "wigner" else stft(f, g)
+        params = {"A": A} if command == "wigner" else {}
+        return dict(zip(names, (f.data, g.data))), params, out.data, {"frobenius_norm": out.norm()}
+    if command == "modnorm":
+        f, phi = Signal(grid, draw(N)), Signal(grid, draw(N))
+        desc = {"kind": "polynomial", "params": {"s": 1}}
+        omega = make_weight("polynomial", s=1)
+        value = modulation_norm(f, MixedNormParams(1.0, 2.0), omega, phi)
+        echo = {"p": 1.0, "q": 2.0, "weight": omega.descriptor()}
+        return {"f": f.data, "phi": phi.data}, {"p": 1, "q": 2, "weight": desc}, None, \
+            {"value": value, "params_echo": echo}
+    a, b = Symbol(grid, draw((N, N))), Symbol(grid, draw((N, N)))
+    if command == "schatten":
+        return {"t": a.data}, {"p": 1}, None, {"value": schatten_norm(a.data, 1.0), "params_echo": {"p": 1.0}}
+    if command == "quantize":
+        route = "multiplier" if d == 2 else "kernel"
+        K = (multiplier_route if d == 2 else quantize)(a, Ap)
+        defect = float(np.abs(K.data - K.data.conj().T).max())
+        return {"a": a.data}, {"A": A, "route": route}, K.data, \
+            {"frobenius_norm": K.norm(), "hermiticity_defect": defect, "route": route}
+    if command == "scheme":
+        if grid.mode == "mod":
+            desc = {"kind": "t", "params": {"t": 1}}
+        elif d == 1:
+            desc = {"kind": "born_jordan"}
+        else:
+            desc = {"kind": "un_avg", "params": {"r": 0.3, "angle_nodes": 4}}
+        K = quantize_scheme(a, SchemeSpec.from_descriptor(desc))
+        return {"a": a.data}, {"scheme": desc}, K.data, {"frobenius_norm": K.norm(), "params_echo": desc}
+    if command == "compose":
+        c = sharp(a, b, Ap)
+        return {"a": a.data, "b": b.data}, {"A": A}, c.data, {"frobenius_norm": c.norm()}
+    ta = symbol_transfer(a, Ap)
+    return {"a": a.data}, {"A": A}, ta.data, {"frobenius_norm": ta.norm()}
+
+
+@pytest.mark.parametrize("mode", ["real", "mod"])
+@pytest.mark.parametrize("d, n", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("command", OP_COMMANDS)
+def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
+    # stdout (keys, key order, values) and the output file's bytes are those
+    # of the direct library call, its array written with write_array
+    grid = GridSpec(d, n, mode)
+    inputs, params, array, echo = _pin_job(command, grid, rng)
+    argv = [command, "--n", str(n), "--d", str(d), "--mode", mode, "--params", json.dumps(params)]
+    for name, data in inputs.items():
+        write_array(tmp_path / f"{name}.bin", data, grid)
+        argv += ["-i", f"{name}={tmp_path}/{name}.bin"]
+    suffix = ".json" if array is None else (".csv" if d == 1 else ".bin")
+    out = tmp_path / f"out{suffix}"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout == json.dumps(echo) + "\n"
+    if array is None:
+        assert out.read_text() == stdout
+    else:
+        write_array(tmp_path / f"want{suffix}", array, grid)
+        assert out.read_bytes() == (tmp_path / f"want{suffix}").read_bytes()
