@@ -7,11 +7,17 @@ grid's peak RSS is its own; after the child's table the script prints the
 grid's wall time and peak RSS.  psdo must be importable by the child (for
 example with PYTHONPATH=src).
 
+With --compare DIR each grid's report is also byte-compared with the file
+of the same name in DIR, the outdir of an earlier run: the script prints
+`identical`, or the names of the checks (and top-level report fields)
+whose entries differ, and exits 1 on any difference.
+
 Usage:
-    python scripts/run_verify_battery.py [--seed 42] [--outdir reports]
+    python scripts/run_verify_battery.py [--seed 42] [--outdir reports] [--compare DIR]
 """
 
 import argparse
+import json
 import os
 import pathlib
 import sys
@@ -35,10 +41,32 @@ def run_grid(n, d, seed, outdir):
     return os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss / 1024
 
 
+def compare_reports(path, earlier):
+    """[] when the two report files hold the same bytes; otherwise the names
+    of the checks whose entries differ (or that only one report has), then
+    the top-level fields that differ, or ["(file missing)"] when either file
+    does not exist."""
+    path, earlier = pathlib.Path(path), pathlib.Path(earlier)
+    if not (path.exists() and earlier.exists()):
+        return ["(file missing)"]
+    new_bytes, old_bytes = path.read_bytes(), earlier.read_bytes()
+    if new_bytes == old_bytes:
+        return []
+    new, old = json.loads(new_bytes), json.loads(old_bytes)
+    new_checks = {c["name"]: c for c in new.pop("checks", [])}
+    old_checks = {c["name"]: c for c in old.pop("checks", [])}
+    names = [name for name in {**old_checks, **new_checks}
+             if new_checks.get(name) != old_checks.get(name)]
+    fields = [key for key in {**old, **new} if new.get(key) != old.get(key)]
+    # equal entries in other bytes (say, another float repr or key order)
+    return names + fields or ["(bytes only)"]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--outdir", default="reports")
+    ap.add_argument("--compare", metavar="DIR", help="byte-compare each report with DIR's")
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
@@ -47,8 +75,14 @@ def main():
     for n, d in BATTERY:
         sys.stdout.flush()
         code, wall, rss_mb = run_grid(n, d, args.seed, outdir)
-        print(f"[n={n} d={d}: {wall:.1f}s, peak RSS {rss_mb:.1f} MB, exit {code}]\n", flush=True)
+        print(f"[n={n} d={d}: {wall:.1f}s, peak RSS {rss_mb:.1f} MB, exit {code}]", flush=True)
         all_ok &= code == 0
+        if args.compare:
+            name = f"verify_n{n}_d{d}.json"
+            diff = compare_reports(outdir / name, pathlib.Path(args.compare) / name)
+            print(f"[compare {name}: {'identical' if not diff else 'differs in ' + ', '.join(diff)}]")
+            all_ok &= not diff
+        print(flush=True)
     return 0 if all_ok else 1
 
 
