@@ -28,11 +28,9 @@ from .quantizer import (
 )
 from .wigner import (
     TimeFrequencyArray,
-    FourDArray,
     stft,
     wigner,
     weyl_wigner_stft_relation_check,
-    stft_of_wigner,
     stft_of_wigner_check,
     expop_stft_check,
 )

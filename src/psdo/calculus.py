@@ -57,13 +57,12 @@ class SharpProductRequest:
 
 def sharp(a: Symbol, b: Symbol, A) -> Symbol:
     """Symbol product a #_A b with Op_A(a #_A b) = Op_A(a) Op_A(b)."""
-    Ta = quantize(a, A)
-    Tb = quantize(b, A)
-    return dequantize(OperatorMatrix(a.grid, Ta.data @ Tb.data), A)
+    return sharp_n((a, b), A)
 
 
 def sharp_n(factors, A) -> Symbol:
-    """Left fold of :func:`sharp`; associative up to fp roundoff."""
+    """a_1 #_A ... #_A a_N: quantize each factor, multiply the operators
+    left to right, dequantize once; associative up to fp roundoff."""
     if len(factors) < 2:
         raise ArityMismatch("need at least two factors")
     grid = factors[0].grid

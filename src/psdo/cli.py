@@ -36,6 +36,25 @@ def _echo(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+def _write_array_result(out, grid, X, **extra):
+    """Write the array result X to `out` and echo its Frobenius norm, then
+    the command's `extra` keys in order."""
+    write_array(out, X.data, grid)
+    _echo({"frobenius_norm": X.norm(), **extra})
+    return 0
+
+
+def _write_scalar_result(out, value, params_echo):
+    """Echo the scalar result, and also write it as JSON to `out` if given."""
+    result = {"value": value, "params_echo": params_echo}
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(result, fh)
+            fh.write("\n")
+    _echo(result)
+    return 0
+
+
 def _parse_inputs(pairs):
     inputs = {}
     for item in pairs or ():
@@ -80,13 +99,6 @@ def _load(inputs, name, grid, shape):
     return data
 
 
-def _matrix_param(params, grid):
-    A = params.get("A", 0.0)
-    if isinstance(A, list):
-        A = np.asarray(A, dtype=float).reshape(grid.d, grid.d)
-    return as_matrix_param(A, grid.d)
-
-
 def _weight_from_descriptor(desc):
     if desc is None:
         return None
@@ -110,14 +122,10 @@ def _cmd_quantize(args):
     routes = {"kernel": quantize, "multiplier": multiplier_route}
     if route not in routes:
         raise ValidationError(f"route must be 'kernel' or 'multiplier', got {route!r}")
-    A = _matrix_param(params, grid)
-    K = routes[route](a, A)
-    write_array(out, K.data, grid)
+    K = routes[route](a, as_matrix_param(params.get("A", 0.0), grid.d))
     D = np.conjugate(K.data.T, order="C")
     np.subtract(K.data, D, out=D)
-    defect = float(np.abs(D).max())
-    _echo({"frobenius_norm": K.norm(), "hermiticity_defect": defect, "route": route})
-    return 0
+    return _write_array_result(out, grid, K, hermiticity_defect=float(np.abs(D).max()), route=route)
 
 
 def _cmd_scheme(args):
@@ -127,9 +135,7 @@ def _cmd_scheme(args):
     desc = params.get("scheme", {"kind": "weyl"})
     validate(desc, "scheme")
     K = quantize_scheme(a, SchemeSpec.from_descriptor(desc))
-    write_array(out, K.data, grid)
-    _echo({"frobenius_norm": K.norm(), "params_echo": desc})
-    return 0
+    return _write_array_result(out, grid, K, params_echo=desc)
 
 
 def _cmd_wigner(args):
@@ -137,10 +143,7 @@ def _cmd_wigner(args):
     N = grid.size
     f1 = Signal(grid, _load(inputs, "f1", grid, (N,)))
     f2 = Signal(grid, _load(inputs, "f2", grid, (N,)))
-    W = wigner(f1, f2, _matrix_param(params, grid))
-    write_array(out, W.data, grid)
-    _echo({"frobenius_norm": W.norm()})
-    return 0
+    return _write_array_result(out, grid, wigner(f1, f2, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
 def _cmd_stft(args):
@@ -148,10 +151,7 @@ def _cmd_stft(args):
     N = grid.size
     f = Signal(grid, _load(inputs, "f", grid, (N,)))
     phi = Signal(grid, _load(inputs, "phi", grid, (N,)))
-    V = stft(f, phi)
-    write_array(out, V.data, grid)
-    _echo({"frobenius_norm": V.norm()})
-    return 0
+    return _write_array_result(out, grid, stft(f, phi))
 
 
 def _cmd_modnorm(args):
@@ -163,13 +163,7 @@ def _cmd_modnorm(args):
     q = float(params.get("q", 2))
     omega = _weight_from_descriptor(params.get("weight")) or trivial_weight()
     value = modulation_norm(f, MixedNormParams(p, q), omega, phi)
-    result = {"value": value, "params_echo": {"p": p, "q": q, "weight": omega.descriptor()}}
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh)
-            fh.write("\n")
-    _echo(result)
-    return 0
+    return _write_scalar_result(out, value, {"p": p, "q": q, "weight": omega.descriptor()})
 
 
 def _cmd_schatten(args):
@@ -177,14 +171,7 @@ def _cmd_schatten(args):
     N = grid.size
     T = _load(inputs, "t", grid, (N, N))
     p = float(params.get("p", 2))
-    value = schatten_norm(T, p)
-    result = {"value": value, "params_echo": {"p": p}}
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh)
-            fh.write("\n")
-    _echo(result)
-    return 0
+    return _write_scalar_result(out, schatten_norm(T, p), {"p": p})
 
 
 def _cmd_compose(args):
@@ -192,20 +179,14 @@ def _cmd_compose(args):
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
     b = Symbol(grid, _load(inputs, "b", grid, (N, N)))
-    c = sharp(a, b, _matrix_param(params, grid))
-    write_array(out, c.data, grid)
-    _echo({"frobenius_norm": c.norm()})
-    return 0
+    return _write_array_result(out, grid, sharp(a, b, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
 def _cmd_transfer(args):
     grid, inputs, params, _, out = _job_from_args(args, "transfer")
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
-    ta = symbol_transfer(a, _matrix_param(params, grid))
-    write_array(out, ta.data, grid)
-    _echo({"frobenius_norm": ta.norm()})
-    return 0
+    return _write_array_result(out, grid, symbol_transfer(a, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
 def _cmd_verify(args):

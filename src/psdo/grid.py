@@ -18,6 +18,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -79,22 +80,31 @@ class GridSpec:
         return (self.n,) * self.d
 
 
-def _coerce(grid, data, shape):
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.shape != shape:
-        raise DimMismatch(f"expected shape {shape}, got {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
-class Signal:
-    """Complex vector indexed by Z_n^d (row-major over coordinates)."""
+class _GridArray:
+    """Complex128 array with `rank` axes of N = n^d points each over a grid;
+    the one coercion and shape check of every grid-indexed array type."""
 
     grid: GridSpec
     data: np.ndarray = field(repr=False)
+    rank = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _coerce(self.grid, self.data, (self.grid.size,)))
+        arr = np.asarray(self.data, dtype=np.complex128)
+        shape = (self.grid.size,) * self.rank
+        if arr.shape != shape:
+            raise DimMismatch(f"expected shape {shape}, got {arr.shape}")
+        object.__setattr__(self, "data", arr)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.data))
+
+
+@dataclass(frozen=True)
+class Signal(_GridArray):
+    """Complex vector indexed by Z_n^d (row-major over coordinates)."""
+
+    rank = 1
 
     @classmethod
     def delta(cls, grid, at=0):
@@ -106,20 +116,10 @@ class Signal:
     def random(cls, grid, rng):
         return cls(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 @dataclass(frozen=True)
-class Symbol:
+class Symbol(_GridArray):
     """Complex array over Z_n^d x Z_n^d; first block positions, second frequencies."""
-
-    grid: GridSpec
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        N = self.grid.size
-        object.__setattr__(self, "data", _coerce(self.grid, self.data, (N, N)))
 
     @classmethod
     def constant(cls, grid, value=1.0):
@@ -130,27 +130,14 @@ class Symbol:
         N = grid.size
         return cls(grid, rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 @dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(_GridArray):
     """n^d x n^d matrix; entry (j, j') is the Schwartz-kernel value K(j, j')."""
-
-    grid: GridSpec
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        N = self.grid.size
-        object.__setattr__(self, "data", _coerce(self.grid, self.data, (N, N)))
 
     @classmethod
     def identity(cls, grid):
         return cls(grid, np.eye(grid.size, dtype=np.complex128))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
 
 # grids whose index tables stay cached, per table kind
@@ -223,20 +210,27 @@ def _fftn(x, axes=None, inverse=False):
     return (np.fft.ifftn if inverse else np.fft.fftn)(x, axes=axes, out=out)
 
 
+def _unitary_fftn(x, axes=None, inverse=False):
+    """The unitary DFT (its inverse if `inverse`) of x over axes (all by
+    default): :func:`_fftn`, then one in-place scale by the root of the
+    number of points transformed."""
+    out = _fftn(x, axes, inverse)
+    points = x.size if axes is None else math.prod(x.shape[a] for a in axes)
+    if inverse:
+        out *= np.sqrt(points)
+    else:
+        out /= np.sqrt(points)
+    return out
+
+
 def dft(f: Signal) -> Signal:
     """Unitary DFT: (Ff)(k) = n^{-d/2} sum_j f(j) e^{-2i pi <j,k>/n}."""
-    g = f.grid
-    out = _fftn(f.data.reshape(g.shape))
-    out /= np.sqrt(g.size)
-    return Signal(g, out.ravel())
+    return Signal(f.grid, _unitary_fftn(f.data.reshape(f.grid.shape)).ravel())
 
 
 def idft(f: Signal) -> Signal:
     """Inverse of :func:`dft`; exact roundtrip up to fp roundoff."""
-    g = f.grid
-    out = _fftn(f.data.reshape(g.shape), inverse=True)
-    out *= np.sqrt(g.size)
-    return Signal(g, out.ravel())
+    return Signal(f.grid, _unitary_fftn(f.data.reshape(f.grid.shape), inverse=True).ravel())
 
 
 def _block_axes(d, block):
@@ -251,12 +245,7 @@ def _partial_dft_core(arr2, grid, block, inverse=False):
     """Unitary DFT of an (N, N) two-block array along one index block, into
     a fresh buffer."""
     n, d = grid.n, grid.d
-    out = _fftn(arr2.reshape((n,) * (2 * d)), _block_axes(d, block), inverse)
-    if inverse:
-        out *= np.sqrt(grid.size)
-    else:
-        out /= np.sqrt(grid.size)
-    return out.reshape(arr2.shape)
+    return _unitary_fftn(arr2.reshape((n,) * (2 * d)), _block_axes(d, block), inverse).reshape(arr2.shape)
 
 
 def partial_dft(F: Symbol, block: int, direction: str = "fwd") -> Symbol:

@@ -198,17 +198,6 @@ def _translate_columns(G, grid: GridSpec, tables):
     np.fft.ifftn(G, axes=pos, out=G)
 
 
-def _full_dft2(arr2, grid, inverse=False):
-    """Unitary DFT of an (N, N) array over both index blocks: one full FFT
-    into a fresh buffer, scaled once."""
-    out = _fftn(arr2.reshape((grid.n,) * (2 * grid.d)), inverse=inverse)
-    if inverse:
-        out *= grid.size
-    else:
-        out /= grid.size
-    return out.reshape(arr2.shape)
-
-
 def symbol_transfer(a: Symbol, A) -> Symbol:
     """Apply the calculus-transfer automorphism T_A to a symbol.
 

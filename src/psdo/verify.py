@@ -27,7 +27,9 @@ from .grid import (
     Symbol,
     OperatorMatrix,
     dft,
+    doubled,
     gaussian_window,
+    idft,
     index_coords,
     rep_coords,
 )
@@ -38,7 +40,6 @@ from .quantizer import (
     multiplier_route,
     dequantize,
     symbol_transfer,
-    _full_dft2,
 )
 from .wigner import (
     stft,
@@ -787,9 +788,11 @@ def _q_un_multiplier(ctx):
         a = _unit_symbol(grid, rng)
         direct = quantize_scheme(a, SchemeSpec("un_avg", {"r": r})).data
         mult = sch.un_avg_multiplier_grid(grid, r)
-        ahat = _full_dft2(a.data, grid)
+        # the two-block DFT is the DFT of a as a signal on the doubled grid
+        D = doubled(grid)
+        ahat = dft(Signal(D, a.data.ravel())).data.reshape(mult.shape)
         ahat *= mult
-        smoothed = Symbol(grid, _full_dft2(ahat, grid, inverse=True))
+        smoothed = Symbol(grid, idft(Signal(D, ahat.ravel())).data.reshape(ahat.shape))
         routed = quantize(smoothed, MatrixParam.weyl(ctx.d)).data
         worst = max(worst, float(np.abs(direct - routed).max()))
     return worst

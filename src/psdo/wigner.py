@@ -8,7 +8,7 @@ counting-measure model drops the Jacobian factors of the continuum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,25 +18,22 @@ from .grid import (
     GridSpec,
     Signal,
     Symbol,
-    OperatorMatrix,
     index_coords,
     flatten_coords,
     doubled,
     _BLOCK_ENTRIES,
-    _coerce,
+    _GridArray,
     _fftn,
     _partial_dft_core,
 )
-from .quantizer import MatrixParam, as_matrix_param, dequantize, symbol_transfer, _require_mode
+from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer, _require_mode
 
 __all__ = [
     "TimeFrequencyArray",
-    "FourDArray",
     "stft",
     "wigner",
     "weyl_wigner_stft_relation_check",
     "phase_space_stft",
-    "stft_of_wigner",
     "stft_of_wigner_check",
     "expop_stft_check",
 ]
@@ -47,29 +44,8 @@ FOURD_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
-class TimeFrequencyArray:
+class TimeFrequencyArray(_GridArray):
     """Array over Z_n^d x Z_n^d (position x frequency)."""
-
-    grid: GridSpec
-    data: np.ndarray = field(repr=False)
-    kind: str = "stft"  # "stft" | "wigner"
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _coerce(self.grid, self.data, (self.grid.size,) * 2))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-
-@dataclass(frozen=True)
-class FourDArray:
-    """Array over (Z_n^d)^4, axes ordered (x, xi, eta, y)."""
-
-    grid: GridSpec
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _coerce(self.grid, self.data, (self.grid.size,) * 4))
 
 
 def _check_window(phi: np.ndarray):
@@ -94,7 +70,16 @@ def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
     # and V is the only array of the output's size that is ever alive
     np.fft.fftn(V, axes=tuple(range(d, 2 * d)), out=V)
     V /= np.sqrt(grid.size)
-    return TimeFrequencyArray(grid, V.reshape(grid.size, grid.size), kind="stft")
+    return TimeFrequencyArray(grid, V.reshape(grid.size, grid.size))
+
+
+def _integer_matrix(grid: GridSpec, A) -> np.ndarray:
+    """A as an int64 matrix, for identities that are exact only in mode
+    "mod" with integer A."""
+    A = as_matrix_param(A, grid.d)
+    if grid.mode != "mod" or not A.integer_flag:
+        raise ModeMismatch("identity requires mode 'mod' and integer A")
+    return np.round(A.entries).astype(np.int64)
 
 
 def _shear(grid: GridSpec, M: np.ndarray, y=None) -> np.ndarray:
@@ -118,14 +103,13 @@ def wigner(f1: Signal, f2: Signal, A) -> TimeFrequencyArray:
     A = as_matrix_param(A, grid.d)
     _require_mode(grid, A)
     if grid.mode == "mod":
-        Aint = np.round(A.entries).astype(np.int64)
+        Aint = _integer_matrix(grid, A)
         Bint = Aint - np.eye(grid.d, dtype=np.int64)
         M = f1.data[_shear(grid, Aint).T] * np.conj(f2.data[_shear(grid, Bint).T])
         W = _partial_dft_core(M, grid, 2, inverse=False)
     else:
-        outer = OperatorMatrix(grid, np.outer(f1.data, np.conj(f2.data)))
-        W = dequantize(outer, A).data / np.sqrt(grid.size)
-    return TimeFrequencyArray(grid, W, kind="wigner")
+        W = rank_one_symbol(f1, f2, A).data / np.sqrt(grid.size)
+    return TimeFrequencyArray(grid, W)
 
 
 def weyl_wigner_stft_relation_check(f: Signal, phi: Signal) -> float:
@@ -169,15 +153,6 @@ def phase_space_stft(F: np.ndarray, Phi: np.ndarray, grid: GridSpec) -> np.ndarr
     D = doubled(grid)
     V = stft(Signal(D, F.ravel()), Signal(D, Phi.ravel())).data
     return V.reshape((N,) * 4)
-
-
-def stft_of_wigner(f: Signal, g: Signal, phi: Signal, psi: Signal, A) -> FourDArray:
-    """V_Phi W^A_{f,g} with the matched window Phi = W^A_{phi,psi}."""
-    grid = f.grid
-    A = as_matrix_param(A, grid.d)
-    W = wigner(f, g, A).data
-    Phi = wigner(phi, psi, A).data
-    return FourDArray(grid, phase_space_stft(W, Phi, grid))
 
 
 def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
@@ -243,12 +218,9 @@ def stft_of_wigner_check(f, g, phi, psi, A) -> float:
     columns.
     """
     grid = f.grid
-    A = as_matrix_param(A, grid.d)
-    if grid.mode != "mod" or not A.integer_flag:
-        raise ModeMismatch("identity requires mode 'mod' and integer A")
+    Aint = _integer_matrix(grid, A)
     N, n = grid.size, grid.n
     Vf, Vg = stft(f, phi).data, stft(g, psi).data
-    Aint = np.round(A.entries).astype(np.int64)
     Bint = Aint - np.eye(grid.d, dtype=np.int64)
     coords = index_coords(grid)
     worst = 0.0
@@ -276,11 +248,8 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
     integer A.
     """
     grid = a.grid
-    A = as_matrix_param(A, grid.d)
-    if grid.mode != "mod" or not A.integer_flag:
-        raise ModeMismatch("identity requires mode 'mod' and integer A")
+    Aint = _integer_matrix(grid, A)
     N, n = grid.size, grid.n
-    Aint = np.round(A.entries).astype(np.int64)
     coords = index_coords(grid)
     columns = _check_columns(grid)
     worst = 0.0

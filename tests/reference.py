@@ -272,12 +272,13 @@ def literal_un_avg_time(a, r, t_nodes, angle_nodes):
 def multiplier_born_jordan(a):
     """Born-Jordan as the Weyl quantization of the symbol whose two-block
     DFT is multiplied by sinc(pi <rep kappa, rep mu>/n)."""
-    from psdo import Symbol, quantize
-    from psdo.grid import rep_coords
-    from psdo.quantizer import _full_dft2
+    from psdo import Signal, Symbol, dft, idft, quantize
+    from psdo.grid import doubled, rep_coords
     from psdo.schemes import bj_multiplier
 
     grid = a.grid
+    D = doubled(grid)
     reps = rep_coords(grid).astype(float)
-    ahat = _full_dft2(a.data, grid) * bj_multiplier(2 * np.pi * (reps @ reps.T) / grid.n)
-    return quantize(Symbol(grid, _full_dft2(ahat, grid, inverse=True)), 0.5).data
+    ahat = dft(Signal(D, a.data.ravel())).data.reshape(a.data.shape)
+    ahat *= bj_multiplier(2 * np.pi * (reps @ reps.T) / grid.n)
+    return quantize(Symbol(grid, idft(Signal(D, ahat.ravel())).data.reshape(ahat.shape)), 0.5).data

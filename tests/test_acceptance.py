@@ -33,7 +33,7 @@ from psdo import (
     symbol_modulation_norm,
     mixed_norm,
 )
-from psdo.quantizer import MatrixParam, _full_dft2
+from psdo.quantizer import MatrixParam
 from psdo.modspace import (
     ExponentTuple,
     MixedNormParams,
@@ -244,13 +244,16 @@ def test_c09_orthogonal_average_d1():
     a = _unit_symbol(grid, rng)
     exact0 = quantize_scheme(a, SchemeSpec("un_avg", {"r": 0.0})).data
     np.testing.assert_array_equal(exact0, quantize(a, 0.5).data)
+    from psdo.grid import dft, doubled, idft
     from psdo.schemes import un_avg_multiplier_grid
 
+    D = doubled(grid)
     worst = 0.0
     for r in (0.0, 0.5, 1.0):
         direct = quantize_scheme(a, SchemeSpec("un_avg", {"r": r})).data
         mult = un_avg_multiplier_grid(grid, r)
-        smoothed = Symbol(grid, _full_dft2(_full_dft2(a.data, grid) * mult, grid, inverse=True))
+        ahat = dft(Signal(D, a.data.ravel())).data.reshape(mult.shape) * mult
+        smoothed = Symbol(grid, idft(Signal(D, ahat.ravel())).data.reshape(mult.shape))
         dev = float(np.abs(direct - quantize(smoothed, 0.5).data).max())
         worst = max(worst, dev)
         assert dev <= 1e-11

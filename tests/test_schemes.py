@@ -117,13 +117,15 @@ def test_un_avg_d1_is_two_point_average(rng, grid9):
 
 
 def test_un_avg_multiplier_route(rng, grid9):
-    from psdo.quantizer import _full_dft2
+    from psdo.grid import Signal, dft, doubled, idft
 
     a = Symbol.random(grid9, rng)
+    D = doubled(grid9)
     for r in (0.5, 1.0):
         direct = quantize_scheme(a, SchemeSpec("un_avg", {"r": r})).data
         mult = un_avg_multiplier_grid(grid9, r)
-        smoothed = Symbol(grid9, _full_dft2(_full_dft2(a.data, grid9) * mult, grid9, inverse=True))
+        ahat = dft(Signal(D, a.data.ravel())).data.reshape(mult.shape) * mult
+        smoothed = Symbol(grid9, idft(Signal(D, ahat.ravel())).data.reshape(mult.shape))
         routed = quantize(smoothed, 0.5).data
         assert np.abs(direct - routed).max() <= 1e-11 * a.norm()
 
