@@ -99,6 +99,13 @@ def _load(inputs, name, grid, shape):
     return data
 
 
+def _number(params, key, default):
+    try:
+        return float(params.get(key, default))
+    except (TypeError, ValueError):
+        raise ValidationError(f"parameter {key!r} must be a number, got {params[key]!r}") from None
+
+
 def _weight_from_descriptor(desc):
     if desc is None:
         return None
@@ -106,11 +113,8 @@ def _weight_from_descriptor(desc):
     kind = desc["kind"]
     params = desc.get("params", {})
     axes = tuple(desc.get("axes", ("pos", "freq")))
-    if kind == "product":
-        factors = [_weight_from_descriptor(f) for f in params["factors"]]
-        return make_weight("product", factors=factors)
-    if kind == "custom":
-        return make_weight("custom", axes=axes, samples=np.asarray(params["samples"], dtype=float))
+    if kind == "product" and isinstance(params.get("factors"), list):
+        params = {**params, "factors": [_weight_from_descriptor(f) for f in params["factors"]]}
     return make_weight(kind, axes=axes, **params)
 
 
@@ -159,8 +163,7 @@ def _cmd_modnorm(args):
     N = grid.size
     f = Signal(grid, _load(inputs, "f", grid, (N,)))
     phi = Signal(grid, _load(inputs, "phi", grid, (N,))) if "phi" in inputs else None
-    p = float(params.get("p", 2))
-    q = float(params.get("q", 2))
+    p, q = _number(params, "p", 2), _number(params, "q", 2)
     omega = _weight_from_descriptor(params.get("weight")) or trivial_weight()
     value = modulation_norm(f, MixedNormParams(p, q), omega, phi)
     return _write_scalar_result(out, value, {"p": p, "q": q, "weight": omega.descriptor()})
@@ -170,7 +173,7 @@ def _cmd_schatten(args):
     grid, inputs, params, _, out = _job_from_args(args, "schatten")
     N = grid.size
     T = _load(inputs, "t", grid, (N, N))
-    p = float(params.get("p", 2))
+    p = _number(params, "p", 2)
     return _write_scalar_result(out, schatten_norm(T, p), {"p": p})
 
 

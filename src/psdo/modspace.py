@@ -220,6 +220,16 @@ class Weight:
                 "axes": list(self.axes)}
 
 
+def _weight_param(kind, params, key, convert=float):
+    """convert(params[key]), or InvalidParams naming the missing or invalid key."""
+    if key not in params:
+        raise InvalidParams(f"{kind} weight needs parameter {key!r}")
+    try:
+        return convert(params[key])
+    except (TypeError, ValueError):
+        raise InvalidParams(f"{kind} weight parameter {key!r} is invalid: {params[key]!r}") from None
+
+
 def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
     """Build a weight descriptor; see :class:`Weight` for the formulas."""
     axes = tuple(axes)
@@ -227,17 +237,20 @@ def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
         if a not in ("pos", "freq"):
             raise InvalidParams(f"axis kind must be 'pos' or 'freq', got {a!r}")
     if kind == "polynomial":
-        return Weight("polynomial", axes, (float(params["s"]),))
+        return Weight("polynomial", axes, (_weight_param(kind, params, "s"),))
     if kind == "exponential":
-        c, s = float(params["c"]), float(params["s"])
+        c, s = _weight_param(kind, params, "c"), _weight_param(kind, params, "s")
         if s < 1:
             raise InvalidParams(f"exponential weight needs s >= 1, got {s}")
         return Weight("exponential", axes, (c, s))
     if kind == "product":
-        w1, w2 = params["factors"]
+        factors = _weight_param(kind, params, "factors", tuple)
+        if len(factors) != 2:
+            raise InvalidParams(f"product weight needs 2 factors, got {len(factors)}")
+        w1, w2 = factors
         return Weight("product", w1.axes + w2.axes, (w1, w2))
     if kind == "custom":
-        samples = np.asarray(params["samples"], dtype=float)
+        samples = _weight_param(kind, params, "samples", lambda x: np.asarray(x, dtype=float))
         if not np.all(samples > 0):
             raise InvalidParams("custom weight samples must be strictly positive")
         return Weight("custom", axes, (samples,))
@@ -291,11 +304,7 @@ def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
     X = _flat_domain_points(grid, omega.axes)
     wX = omega.evaluate(X)
     vX = v.evaluate(X)
-    best = 0.0
-    for i in range(X.shape[0]):
-        q = omega.evaluate(X[i] + X) / (wX[i] * vX)
-        best = max(best, float(q.max()))
-    return bool(np.isfinite(best)), best
+    return _worst(omega.evaluate(X[i] + X) / (wX[i] * vX) for i in range(X.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,14 @@ def as_matrix_param(A, d: int) -> MatrixParam:
         if A.d != d:
             raise InvalidParams(f"matrix parameter is {A.d}x{A.d}, grid needs {d}x{d}")
         return A
-    if np.isscalar(A):
-        return MatrixParam.scalar(float(A), d)
-    return MatrixParam(np.asarray(A, dtype=float).reshape(d, d))
+    try:
+        if np.isscalar(A):
+            return MatrixParam.scalar(float(A), d)
+        entries = np.asarray(A, dtype=float).reshape(d, d)
+    except (TypeError, ValueError):
+        raise InvalidParams(f"matrix parameter A must be a real number or {d}x{d} real entries, "
+                            f"got {A!r}") from None
+    return MatrixParam(entries)
 
 
 def _require_mode(grid: GridSpec, A: MatrixParam):

@@ -14,6 +14,7 @@ axis.  Both are provided.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,11 @@ class SchemeSpec:
         if self.kind not in _KINDS:
             raise InvalidParams(f"unknown scheme kind {self.kind!r}")
         p = dict(self.params)
+        for key, want in (("t", numbers.Real), ("r", numbers.Real),
+                          ("angle_nodes", numbers.Integral), ("t_nodes", numbers.Integral)):
+            if key in p and (isinstance(p[key], bool) or not isinstance(p[key], want)):
+                what = "an integer" if want is numbers.Integral else "a real number"
+                raise InvalidParams(f"scheme parameter {key!r} must be {what}, got {p[key]!r}")
         if self.kind == "t":
             p.setdefault("t", 0.5)
         if self.kind == "born_jordan" and "quad_nodes" in p:

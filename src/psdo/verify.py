@@ -788,7 +788,6 @@ def _q_un_multiplier(ctx):
         a = _unit_symbol(grid, rng)
         direct = quantize_scheme(a, SchemeSpec("un_avg", {"r": r})).data
         mult = sch.un_avg_multiplier_grid(grid, r)
-        # the two-block DFT is the DFT of a as a signal on the doubled grid
         D = doubled(grid)
         ahat = dft(Signal(D, a.data.ravel())).data.reshape(mult.shape)
         ahat *= mult

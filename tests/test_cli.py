@@ -451,3 +451,28 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     else:
         write_array(tmp_path / f"want{suffix}", array, grid)
         assert out.read_bytes() == (tmp_path / f"want{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("command, params, needle", [
+    ("quantize", {"A": [1, 2, 3]}, "matrix parameter A"),
+    ("quantize", {"A": "abc"}, "matrix parameter A"),
+    ("quantize", {"A": [[0.5], ["x"]]}, "matrix parameter A"),
+    ("schatten", {"p": "x"}, "'p'"),
+    ("modnorm", {"q": "x"}, "'q'"),
+    ("modnorm", {"weight": {"kind": "polynomial", "params": {}}}, "'s'"),
+    ("modnorm", {"weight": {"kind": "product"}}, "'factors'"),
+    ("modnorm", {"weight": {"kind": "exponential", "params": {"c": "x", "s": 1}}}, "'c'"),
+    ("scheme", {"scheme": {"kind": "t", "params": {"t": "x"}}}, "'t'"),
+    ("scheme", {"scheme": {"kind": "un_avg", "params": {"r": "x"}}}, "'r'"),
+    ("scheme", {"scheme": {"kind": "un_avg", "params": {"angle_nodes": "x"}}}, "'angle_nodes'"),
+])
+def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
+    g = GridSpec(1, 9)
+    name, shape = {"quantize": ("a", (9, 9)), "scheme": ("a", (9, 9)),
+                   "schatten": ("t", (9, 9)), "modnorm": ("f", (9,))}[command]
+    write_array(tmp_path / "x.bin", np.ones(shape, dtype=complex), g)
+    out = tmp_path / ("v.json" if command in ("schatten", "modnorm") else "K.bin")
+    code, stdout, err = run_cli(capsys, command, "-i", f"{name}={tmp_path}/x.bin",
+                                "--params", json.dumps(params), "--out", str(out))
+    assert code == 3 and needle in err and stdout == ""
+    assert not out.exists()

@@ -139,6 +139,16 @@ def test_moderate_check_sampled_path(grid9):
     assert ok and 0.0 < c <= math.sqrt(2.0) + 1e-12
 
 
+@pytest.mark.parametrize("n", [9, 33])  # 81^2 pairs: exhaustive rows; 1089^2: sampled
+def test_moderate_check_reports_nan(n):
+    # exp(800 |X|) overflows, so some ratios are inf/inf = NaN; both paths
+    # must report them rather than drop them from the max
+    w = make_weight("exponential", c=800.0, s=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, c = moderate_check(w, w, GridSpec(1, n))
+    assert not ok and math.isnan(c)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
