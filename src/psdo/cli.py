@@ -36,10 +36,10 @@ def _echo(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _write_array_result(out, grid, X, **extra):
+def _write_array_result(out, X, **extra):
     """Write the array result X to `out` and echo its Frobenius norm, then
     the command's `extra` keys in order."""
-    write_array(out, X.data, grid)
+    write_array(out, X.data, X.grid)
     _echo({"frobenius_norm": X.norm(), **extra})
     return 0
 
@@ -124,12 +124,12 @@ def _cmd_quantize(args):
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
     route = params.get("route", "kernel")
     routes = {"kernel": quantize, "multiplier": multiplier_route}
-    if route not in routes:
+    if not isinstance(route, str) or route not in routes:
         raise ValidationError(f"route must be 'kernel' or 'multiplier', got {route!r}")
     K = routes[route](a, as_matrix_param(params.get("A", 0.0), grid.d))
     D = np.conjugate(K.data.T, order="C")
     np.subtract(K.data, D, out=D)
-    return _write_array_result(out, grid, K, hermiticity_defect=float(np.abs(D).max()), route=route)
+    return _write_array_result(out, K, hermiticity_defect=float(np.abs(D).max()), route=route)
 
 
 def _cmd_scheme(args):
@@ -139,7 +139,7 @@ def _cmd_scheme(args):
     desc = params.get("scheme", {"kind": "weyl"})
     validate(desc, "scheme")
     K = quantize_scheme(a, SchemeSpec.from_descriptor(desc))
-    return _write_array_result(out, grid, K, params_echo=desc)
+    return _write_array_result(out, K, params_echo=desc)
 
 
 def _cmd_wigner(args):
@@ -147,7 +147,7 @@ def _cmd_wigner(args):
     N = grid.size
     f1 = Signal(grid, _load(inputs, "f1", grid, (N,)))
     f2 = Signal(grid, _load(inputs, "f2", grid, (N,)))
-    return _write_array_result(out, grid, wigner(f1, f2, as_matrix_param(params.get("A", 0.0), grid.d)))
+    return _write_array_result(out, wigner(f1, f2, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
 def _cmd_stft(args):
@@ -155,7 +155,7 @@ def _cmd_stft(args):
     N = grid.size
     f = Signal(grid, _load(inputs, "f", grid, (N,)))
     phi = Signal(grid, _load(inputs, "phi", grid, (N,)))
-    return _write_array_result(out, grid, stft(f, phi))
+    return _write_array_result(out, stft(f, phi))
 
 
 def _cmd_modnorm(args):
@@ -182,14 +182,14 @@ def _cmd_compose(args):
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
     b = Symbol(grid, _load(inputs, "b", grid, (N, N)))
-    return _write_array_result(out, grid, sharp(a, b, as_matrix_param(params.get("A", 0.0), grid.d)))
+    return _write_array_result(out, sharp(a, b, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
 def _cmd_transfer(args):
     grid, inputs, params, _, out = _job_from_args(args, "transfer")
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
-    return _write_array_result(out, grid, symbol_transfer(a, as_matrix_param(params.get("A", 0.0), grid.d)))
+    return _write_array_result(out, symbol_transfer(a, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
 def _cmd_verify(args):

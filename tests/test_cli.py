@@ -457,6 +457,7 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("quantize", {"A": [1, 2, 3]}, "matrix parameter A"),
     ("quantize", {"A": "abc"}, "matrix parameter A"),
     ("quantize", {"A": [[0.5], ["x"]]}, "matrix parameter A"),
+    ("quantize", {"route": ["x"]}, "route"),
     ("schatten", {"p": "x"}, "'p'"),
     ("modnorm", {"q": "x"}, "'q'"),
     ("modnorm", {"weight": {"kind": "polynomial", "params": {}}}, "'s'"),
