@@ -15,8 +15,9 @@ import struct
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import PsdoError, ValidationError
 from .grid import GridSpec
+from .validation import validate
 
 __all__ = ["write_array", "read_array"]
 
@@ -33,26 +34,18 @@ def _header(data: np.ndarray, grid: GridSpec) -> dict:
 
 
 def _parse_header(text, path) -> tuple:
-    """(grid, shape) from a header's JSON text (str, or UTF-8 bytes)."""
+    """(grid, shape) from a header's JSON text (str, or UTF-8 bytes),
+    checked against the published ``arrayfile_header`` schema."""
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         header = json.loads(text)
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise ValidationError(f"{path}: unreadable array header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValidationError(f"{path}: array header must be a JSON object")
-    shape = header.get("shape")
-    if not (isinstance(shape, list)
-            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)):
-        raise ValidationError(f"{path}: header shape must be a list of non-negative integers, "
-                              f"got {shape!r}")
-    try:
+        validate(header, "arrayfile_header")
         g = header["grid"]
-        grid = GridSpec(int(g["d"]), int(g["n"]), g.get("mode", "real"))
-    except (KeyError, TypeError, ValueError) as exc:
+        grid = GridSpec(g["d"], g["n"], g.get("mode", "real"))
+    except (ValueError, PsdoError) as exc:  # UnicodeDecodeError, JSONDecodeError, schema, grid
         raise ValidationError(f"{path}: malformed array header: {exc}") from exc
-    return grid, tuple(shape)
+    return grid, tuple(header["shape"])
 
 
 def write_array(path, data, grid: GridSpec) -> None:
@@ -107,21 +100,24 @@ def read_array(path):
         return _read_bin(path)
     if not path.endswith(".csv"):
         raise ValidationError(f"unsupported array extension (want .csv or .bin): {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ValidationError(f"{path}: missing header line")
-        grid, shape = _parse_header(first[1:], path)
-        second = fh.readline().strip()
-        if second != "re,im":
-            raise ValidationError(f"{path}: expected 're,im' column line, got {second!r}")
-        count = math.prod(shape)
-        if count:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        elif fh.read().strip():  # np.loadtxt would read an empty body as shape (0, 1)
-            raise ValidationError(f"{path}: header says 0 rows, payload is not empty")
-        else:
-            rows = np.empty((0, 2))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first.startswith("#"):
+                raise ValidationError(f"{path}: missing header line")
+            grid, shape = _parse_header(first[1:], path)
+            second = fh.readline().strip()
+            if second != "re,im":
+                raise ValidationError(f"{path}: expected 're,im' column line, got {second!r}")
+            count = math.prod(shape)
+            if count:
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            elif fh.read().strip():  # np.loadtxt would read an empty body as shape (0, 1)
+                raise ValidationError(f"{path}: header says 0 rows, payload is not empty")
+            else:
+                rows = np.empty((0, 2))
+    except ValueError as exc:  # not UTF-8, or an entry that is not a number
+        raise ValidationError(f"{path}: unreadable array file: {exc}") from exc
     if rows.shape != (count, 2):
         raise ValidationError(f"{path}: payload has shape {rows.shape}, header says {count} rows")
     data = (rows[:, 0] + 1j * rows[:, 1]).reshape(shape)

@@ -62,14 +62,14 @@ def sharp(a: Symbol, b: Symbol, A) -> Symbol:
 
 def sharp_n(factors, A) -> Symbol:
     """a_1 #_A ... #_A a_N: quantize each factor, multiply the operators
-    left to right, dequantize once; associative up to fp roundoff."""
-    if len(factors) < 2:
-        raise ArityMismatch("need at least two factors")
-    grid = factors[0].grid
-    prod = quantize(factors[0], A).data
-    for f in factors[1:]:
+    left to right, dequantize once; associative up to fp roundoff.  The
+    N >= 2 factors must share one grid (``SharpProductRequest``), else
+    ArityMismatch."""
+    first, *rest = SharpProductRequest(tuple(factors), A).factors
+    prod = quantize(first, A).data
+    for f in rest:
         prod = prod @ quantize(f, A).data
-    return dequantize(OperatorMatrix(grid, prod), A)
+    return dequantize(OperatorMatrix(first.grid, prod), A)
 
 
 def sharp_transfer_check(a: Symbol, b: Symbol, A, B) -> float:

@@ -118,6 +118,9 @@ def as_matrix_param(A, d: int) -> MatrixParam:
             raise InvalidParams(f"matrix parameter is {A.d}x{A.d}, grid needs {d}x{d}")
         return A
     try:
+        # a JSON true is a number to numpy, but no matrix entry
+        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(A, dtype=object).flat):
+            raise TypeError
         if np.isscalar(A):
             return MatrixParam.scalar(float(A), d)
         entries = np.asarray(A, dtype=float).reshape(d, d)

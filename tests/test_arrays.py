@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -84,11 +85,12 @@ def test_bin_bytes_are_the_documented_format(tmp_path, rng):
 
 
 _GRID3 = {"d": 1, "n": 3, "mode": "real"}
+_HEADER3 = {"shape": [3, 3], "dtype": "complex128", "layout": "row-major", "grid": _GRID3}
 
 
 def test_bin_header_larger_than_file_is_rejected_before_allocating(tmp_path):
     # 10**12 entries would need 16 TB; the size check must fire first
-    path = _bin_file(tmp_path / "huge.bin", {"shape": [10**6, 10**6], "grid": _GRID3})
+    path = _bin_file(tmp_path / "huge.bin", {**_HEADER3, "shape": [10**6, 10**6]})
     with pytest.raises(ValidationError, match="payload"):
         read_array(path)
 
@@ -102,7 +104,7 @@ def test_bin_trailing_byte_is_rejected(tmp_path):
 
 
 def test_bin_truncated_header_is_rejected(tmp_path):
-    path = _bin_file(tmp_path / "a.bin", {"shape": [3, 3], "grid": _GRID3})
+    path = _bin_file(tmp_path / "a.bin", _HEADER3)
     blob = path.read_bytes()
     for cut in (6, len(blob) - 2):
         path.write_bytes(blob[:cut])
@@ -113,9 +115,14 @@ def test_bin_truncated_header_is_rejected(tmp_path):
 MALFORMED_HEADERS = {
     "no_shape": {"dtype": "complex128", "layout": "row-major", "grid": _GRID3},
     "not_utf8": b'{"shape": [3, 3], "grid": {"d": 1, "n": 3}, "note": "\xff"}',
-    "negative_shape": {"shape": [-3, -3], "grid": _GRID3},
+    "negative_shape": {**_HEADER3, "shape": [-3, -3]},
     "not_an_object": [3, 3],
-    "float_shape": {"shape": [3.0, 3], "grid": _GRID3},
+    "float_shape": {**_HEADER3, "shape": [3.0, 3]},
+    "bool_shape": {**_HEADER3, "shape": [True, 3]},
+    "dtype": {**_HEADER3, "dtype": "float32"},
+    "layout": {**_HEADER3, "layout": "column-major"},
+    "no_grid": {k: v for k, v in _HEADER3.items() if k != "grid"},
+    "even_n": {**_HEADER3, "grid": {"d": 1, "n": 4, "mode": "real"}},
 }
 
 
@@ -204,3 +211,45 @@ def test_csv_zero_rows_with_payload_rejected(tmp_path):
         fh.write("1.0,2.0\n")
     with pytest.raises(ValidationError):
         read_array(path)
+
+
+@pytest.mark.parametrize("ext", [".csv", ".bin"])
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (9,), (9, 9)])
+def test_written_headers_match_published_schema(tmp_path, ext, shape):
+    # the header of every file write_array writes is a valid
+    # arrayfile_header, zero-size shapes included
+    path = tmp_path / f"a{ext}"
+    write_array(path, np.ones(shape), GridSpec(1, 9, "mod"))
+    if ext == ".csv":
+        header = json.loads(path.read_text().splitlines()[0][1:])
+    else:
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        header = json.loads(blob[8:8 + hlen])
+    assert header["shape"] == list(shape)
+    validate(header, "arrayfile_header")
+
+
+def _csv_file(path, header, body=b"0,0\n" * 9):
+    """A .csv file built by hand: '#' and the header, 're,im', then body."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    path.write_bytes(b"# " + blob + b"\nre,im\n" + body)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header_names_the_file(tmp_path, case):
+    for path in (_bin_file(tmp_path / "a.bin", MALFORMED_HEADERS[case], bytes(144)),
+                 _csv_file(tmp_path / "a.csv", MALFORMED_HEADERS[case])):
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
+            read_array(path)
+
+
+@pytest.mark.parametrize("body", [b"0,\xff\n", b"0,x\n"], ids=["not_utf8", "not_a_number"])
+def test_csv_unreadable_payload_cli_exits_3(tmp_path, capsys, body):
+    path = _csv_file(tmp_path / "a.csv", {**_HEADER3, "shape": [1]}, body)
+    code = main(["transfer", "--d", "1", "--n", "3", "-i", f"a={path}",
+                 "--out", str(tmp_path / "out.bin")])
+    assert code == 3
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()

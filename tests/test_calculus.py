@@ -75,6 +75,19 @@ def test_sharp_request_validation(rng, grid9):
     SharpProductRequest(factors=(a, a), A=0.5, B=0.0)
 
 
+@pytest.mark.parametrize("g1, g2", [
+    (GridSpec(1, 9, "real"), GridSpec(1, 9, "mod")),
+    (GridSpec(1, 9), GridSpec(2, 3)),
+    (GridSpec(1, 9), GridSpec(1, 5)),
+])
+def test_sharp_on_mixed_grids_is_arity_mismatch(rng, g1, g2):
+    a, b = Symbol.random(g1, rng), Symbol.random(g2, rng)
+    with pytest.raises(ArityMismatch, match="one grid"):
+        sharp(a, b, 0)
+    with pytest.raises(ArityMismatch, match="one grid"):
+        sharp_n([a, a, b], 0)
+
+
 def test_alg_hypotheses_report_estimates(rng, grid9):
     t = ExponentTuple(p=(2, 2, 2), q=(2, 2, 2))
     weights = [trivial_weight(SYMBOL_AXES)] * 3

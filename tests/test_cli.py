@@ -466,6 +466,9 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("scheme", {"scheme": {"kind": "t", "params": {"t": "x"}}}, "'t'"),
     ("scheme", {"scheme": {"kind": "un_avg", "params": {"r": "x"}}}, "'r'"),
     ("scheme", {"scheme": {"kind": "un_avg", "params": {"angle_nodes": "x"}}}, "'angle_nodes'"),
+    ("quantize", {"A": True}, "matrix parameter A"),
+    ("quantize", {"A": [True]}, "matrix parameter A"),
+    ("quantize", {"A": [[True]]}, "matrix parameter A"),
 ])
 def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
     g = GridSpec(1, 9)
