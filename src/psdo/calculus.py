@@ -9,7 +9,7 @@ cross-checked in ``verify`` through the dense-phase kernel route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,16 +101,7 @@ class CompositionReport:
     seed: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "n_factors": self.n_factors,
-            "predicates": dict(self.predicates),
-            "weight_constant": self.weight_constant,
-            "estimated": self.estimated,
-            "max_ratio": self.max_ratio,
-            "median_ratio": self.median_ratio,
-            "draws": self.draws,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def alg_hypotheses_report(exponents: ExponentTuple, weights, A, grid: GridSpec,

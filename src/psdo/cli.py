@@ -76,14 +76,14 @@ def _job_from_args(args, operation):
         out = args.out or manifest["output"]
         g = manifest["grid"]
         grid = GridSpec(int(g["d"]), int(g["n"]), g.get("mode", "real"))
-        return grid, manifest.get("inputs", {}), manifest.get("params", {}), manifest.get("seed", 0), out
+        return grid, manifest.get("inputs", {}), manifest.get("params", {}), out
     if args.out is None:
         raise ValidationError("--out is required without a manifest")
     grid = GridSpec(args.d, args.n, args.mode)
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise ValidationError("--params must be a JSON object")
-    return grid, _parse_inputs(args.input), params, args.seed, args.out
+    return grid, _parse_inputs(args.input), params, args.out
 
 
 def _load(inputs, name, grid, shape):
@@ -119,7 +119,7 @@ def _weight_from_descriptor(desc):
 
 
 def _cmd_quantize(args):
-    grid, inputs, params, _, out = _job_from_args(args, "quantize")
+    grid, inputs, params, out = _job_from_args(args, "quantize")
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
     route = params.get("route", "kernel")
@@ -133,7 +133,7 @@ def _cmd_quantize(args):
 
 
 def _cmd_scheme(args):
-    grid, inputs, params, _, out = _job_from_args(args, "scheme")
+    grid, inputs, params, out = _job_from_args(args, "scheme")
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
     desc = params.get("scheme", {"kind": "weyl"})
@@ -143,7 +143,7 @@ def _cmd_scheme(args):
 
 
 def _cmd_wigner(args):
-    grid, inputs, params, _, out = _job_from_args(args, "wigner")
+    grid, inputs, params, out = _job_from_args(args, "wigner")
     N = grid.size
     f1 = Signal(grid, _load(inputs, "f1", grid, (N,)))
     f2 = Signal(grid, _load(inputs, "f2", grid, (N,)))
@@ -151,7 +151,7 @@ def _cmd_wigner(args):
 
 
 def _cmd_stft(args):
-    grid, inputs, _, _, out = _job_from_args(args, "stft")
+    grid, inputs, _, out = _job_from_args(args, "stft")
     N = grid.size
     f = Signal(grid, _load(inputs, "f", grid, (N,)))
     phi = Signal(grid, _load(inputs, "phi", grid, (N,)))
@@ -159,7 +159,7 @@ def _cmd_stft(args):
 
 
 def _cmd_modnorm(args):
-    grid, inputs, params, _, out = _job_from_args(args, "modnorm")
+    grid, inputs, params, out = _job_from_args(args, "modnorm")
     N = grid.size
     f = Signal(grid, _load(inputs, "f", grid, (N,)))
     phi = Signal(grid, _load(inputs, "phi", grid, (N,))) if "phi" in inputs else None
@@ -170,7 +170,7 @@ def _cmd_modnorm(args):
 
 
 def _cmd_schatten(args):
-    grid, inputs, params, _, out = _job_from_args(args, "schatten")
+    grid, inputs, params, out = _job_from_args(args, "schatten")
     N = grid.size
     T = _load(inputs, "t", grid, (N, N))
     p = _number(params, "p", 2)
@@ -178,7 +178,7 @@ def _cmd_schatten(args):
 
 
 def _cmd_compose(args):
-    grid, inputs, params, _, out = _job_from_args(args, "compose")
+    grid, inputs, params, out = _job_from_args(args, "compose")
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
     b = Symbol(grid, _load(inputs, "b", grid, (N, N)))
@@ -186,7 +186,7 @@ def _cmd_compose(args):
 
 
 def _cmd_transfer(args):
-    grid, inputs, params, _, out = _job_from_args(args, "transfer")
+    grid, inputs, params, out = _job_from_args(args, "transfer")
     N = grid.size
     a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
     return _write_array_result(out, symbol_transfer(a, as_matrix_param(params.get("A", 0.0), grid.d)))
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", action="append", metavar="NAME=PATH",
                        help="named input array file (repeatable)")
         p.add_argument("--params", help="operation parameters as a JSON object")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (.csv/.bin for arrays, .json for scalars)")
         p.set_defaults(handler=_HANDLERS[name])
 

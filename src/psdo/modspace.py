@@ -31,7 +31,7 @@ from .errors import (
 )
 from .grid import GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords, _BLOCK_ENTRIES
 from .quantizer import as_matrix_param
-from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _stft_columns
+from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _column_budget, _stft_columns
 
 __all__ = [
     "INF",
@@ -167,6 +167,11 @@ class Weight:
     axes: tuple
     params: tuple
 
+    @property
+    def trivial(self) -> bool:
+        """Whether this is omega == 1, the polynomial weight with s = 0."""
+        return self.kind == "polynomial" and self.params == (0.0,)
+
     def evaluate(self, X) -> np.ndarray:
         """Pointwise values at physical coordinates X of shape (..., D)."""
         X = np.asarray(X, dtype=float)
@@ -190,7 +195,7 @@ class Weight:
             if samples.shape != want:
                 raise DomainMismatch(f"custom weight has shape {samples.shape}, grid needs {want}")
             return samples
-        if self.kind == "polynomial" and self.params == (0.0,):
+        if self.trivial:
             return np.ones((grid.size,) * len(self.axes))
         return self.evaluate(block_coords(grid, self.axes))
 
@@ -358,7 +363,7 @@ def _symbol_modulation_norms(a: Symbol, params_seq, omega: Weight = None, Phi: S
     streamed once."""
     grid = a.grid
     N = grid.size
-    if N**4 > FOURD_LIMIT:
+    if _column_budget(grid) < N * N:
         raise SizeLimit(f"symbol norm reads all {N * N} STFT columns, {N**4} entries (cap {FOURD_LIMIT})")
     if Phi is None:
         Phi = Symbol(grid, gaussian_window(doubled(grid)).data.reshape(N, N))
@@ -366,11 +371,10 @@ def _symbol_modulation_norms(a: Symbol, params_seq, omega: Weight = None, Phi: S
         omega = trivial_weight(SYMBOL_AXES)
     if len(omega.axes) != 4:
         raise DomainMismatch(f"symbol norm needs a 4-block weight, got {len(omega.axes)} blocks")
-    trivial = omega.kind == "polynomial" and omega.params == (0.0,)
     inner = np.empty((len(params_seq), N * N))
     for k, V in _stft_columns(a.data, Phi.data, grid):
         weighted = np.abs(V).reshape(len(k), N * N)
-        if not trivial:
+        if not omega.trivial:
             weighted *= _column_weights(omega, grid, k)
         for row, params in zip(inner, params_seq):
             row[k] = lp_norm(weighted, params.p, axis=1)

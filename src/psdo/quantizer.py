@@ -130,9 +130,12 @@ def as_matrix_param(A, d: int) -> MatrixParam:
     return MatrixParam(entries)
 
 
-def _require_mode(grid: GridSpec, A: MatrixParam):
+def _grid_param(grid: GridSpec, A) -> MatrixParam:
+    """A as a MatrixParam that fits `grid`: d x d, and integer in mode "mod"."""
+    A = as_matrix_param(A, grid.d)
     if grid.mode == "mod" and not A.integer_flag:
         raise ModeMismatch("mode 'mod' requires an integer matrix parameter")
+    return A
 
 
 def _row_tables(grid: GridSpec, A: MatrixParam, sign: int) -> list:
@@ -213,8 +216,7 @@ def symbol_transfer(a: Symbol, A) -> Symbol:
     construction Op_{A1}(a) = Op_{A2}(T_{A2}^{-1} T_{A1} a).
     """
     grid = a.grid
-    A = as_matrix_param(A, grid.d)
-    _require_mode(grid, A)
+    A = _grid_param(grid, A)
     if not A.entries.any():  # T_0 is the identity, exactly
         return a
     ahat = _fftn(a.data.reshape((grid.n,) * (2 * grid.d)))
@@ -246,8 +248,7 @@ def quantize(a: Symbol, A) -> OperatorMatrix:
     FFT); then K[j, j - u] = G[j, u].  3 FFT passes, 1 at A = 0 mod n.
     """
     grid = a.grid
-    A = as_matrix_param(A, grid.d)
-    _require_mode(grid, A)
+    A = _grid_param(grid, A)
     return _kernel_formula(a, _row_tables(grid, A, -1))
 
 
@@ -258,8 +259,7 @@ def _quantize_average(a: Symbol, params, weights) -> OperatorMatrix:
     whatever the number of nodes.  Every A_i is checked against the grid's
     mode before any FFT runs."""
     grid = a.grid
-    for A in params:
-        _require_mode(grid, A)
+    params = [_grid_param(grid, A) for A in params]
     return _kernel_formula(a, [_average_table(grid, params, weights)])
 
 
@@ -282,8 +282,7 @@ def kernel_route(a: Symbol, A) -> OperatorMatrix:
     scattered to K[j, j - u].
     """
     grid = a.grid
-    A = as_matrix_param(A, grid.d)
-    _require_mode(grid, A)
+    A = _grid_param(grid, A)
     G = _partial_dft_core(a.data, grid, 2, inverse=True)
     G /= np.sqrt(grid.size)
     reps = rep_coords(grid).astype(float)
@@ -303,8 +302,7 @@ def dequantize(T: OperatorMatrix, A) -> Symbol:
     raw FFT over the frequency block.
     """
     grid = T.grid
-    A = as_matrix_param(A, grid.d)
-    _require_mode(grid, A)
+    A = _grid_param(grid, A)
     freq = _block_axes(grid.d, 2)
     # the gather is a fresh C-contiguous buffer, so every pass runs in place
     G = np.take_along_axis(T.data, rel_index(grid), axis=1).reshape((grid.n,) * (2 * grid.d))

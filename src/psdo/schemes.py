@@ -312,34 +312,25 @@ def psi0(d: int, r: float) -> float:
 def un_avg_multiplier_grid(grid, r: float, angle_nodes: int = 64) -> np.ndarray:
     """The (kappa, mu)-indexed Haar-average multiplier on the symbol
     Fourier grid: averaging Op_{rU + I/2} equals applying this to the
-    two-block DFT and then quantizing at I/2."""
+    two-block DFT and then quantizing at I/2.  The average runs over the
+    nodes of :func:`_orthogonal_nodes`."""
+    mats, wts = _orthogonal_nodes(grid.d, angle_nodes)
     reps = rep_coords(grid).astype(float)
-    if grid.d == 1:
-        return np.cos(r * 2.0 * np.pi * (reps @ reps.T) / grid.n)
-    if grid.d == 2:
-        mats, wts = _orthogonal_nodes(2, angle_nodes)
-        scaled = 2.0 * np.pi * reps / grid.n
-        out = np.zeros((grid.size, grid.size), dtype=np.complex128)
-        for U, w in zip(mats, wts):
-            out += w * np.exp(1j * r * (reps @ (scaled @ U.T).T))
-        return out
-    raise UnsupportedDimension(f"orthogonal averaging implemented for d in (1, 2), got {grid.d}")
+    scaled = 2.0 * np.pi * reps / grid.n
+    out = np.zeros((grid.size, grid.size), dtype=np.complex128)
+    for U, w in zip(mats, wts):
+        out += w * np.exp(1j * r * (reps @ (scaled @ U.T).T))
+    return out
 
 
 def un_avg_multiplier(d: int, r: float, m_vec, c_vec, angle_nodes: int = 64) -> complex:
-    """Haar average over U in O(d) of e^{i r <U m, c>} for real d-vectors.
-
-    d=1 is the exact two-point average cos(r m c); d=2 uses the
-    equal-weight angle quadrature of :func:`_orthogonal_nodes`.
-    """
+    """Haar average over U in O(d) of e^{i r <U m, c>} for real d-vectors,
+    over the equal-weight nodes of :func:`_orthogonal_nodes` (at d=1 the
+    exact two-point average cos(r m c))."""
+    mats, wts = _orthogonal_nodes(d, angle_nodes)
     m_vec = np.atleast_1d(np.asarray(m_vec, dtype=float))
     c_vec = np.atleast_1d(np.asarray(c_vec, dtype=float))
-    if d == 1:
-        return complex(math.cos(r * float(m_vec[0]) * float(c_vec[0])))
-    if d == 2:
-        mats, wts = _orthogonal_nodes(2, angle_nodes)
-        return complex(sum(w * np.exp(1j * r * (U @ m_vec) @ c_vec) for U, w in zip(mats, wts)))
-    raise UnsupportedDimension(f"orthogonal averaging implemented for d in (1, 2), got {d}")
+    return complex(sum(w * np.exp(1j * r * (U @ m_vec) @ c_vec) for U, w in zip(mats, wts)))
 
 
 def sphere_average_exp(rho: float, samples: int = 10**6, seed: int = 0) -> float:

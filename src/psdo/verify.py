@@ -5,7 +5,8 @@ Each check draws from its own PRNG stream (seeded by the global seed and
 the check name), so reports are byte-reproducible regardless of execution
 order or thread count.  Checks with tolerance None are report-only: they
 record an empirical constant without judging it.  A check that hits a
-size cap (SizeLimit) is skipped with the cap's message as its note.
+size cap (SizeLimit) or a dimension without Haar nodes
+(UnsupportedDimension) is skipped with the error's message as its note.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, SizeLimit
+from .errors import InvalidParams, SizeLimit, UnsupportedDimension
 from .grid import (
     GridSpec,
     Signal,
@@ -47,6 +48,7 @@ from .wigner import (
     weyl_wigner_stft_relation_check,
     stft_of_wigner_check,
     expop_stft_check,
+    _check_columns,
 )
 from . import modspace as ms
 from .modspace import MixedNormParams, ExponentTuple, make_weight, trivial_weight
@@ -65,10 +67,6 @@ from .schemes import SchemeSpec, quantize_scheme, born_jordan_quadrature
 __all__ = ["run_suite", "format_table", "report_to_json", "SUITES"]
 
 SUITES = ("all", "calculus", "wigner", "modspace", "schatten", "schemes")
-
-
-class SkipCheck(Exception):
-    pass
 
 
 @dataclass
@@ -923,7 +921,7 @@ def _run_check(cd: CheckDef, ctx: Context) -> dict:
     }
     try:
         measure = cd.fn(ctx)
-    except (SkipCheck, SizeLimit) as exc:  # a work cap skips the check with its message
+    except (SizeLimit, UnsupportedDimension) as exc:  # skipped with its message
         entry["skipped"] = True
         entry["note"] = str(exc)
         return entry
@@ -948,9 +946,9 @@ def _run_suite(suite, n, d, seed, threads=None):
     order.  The times stay out of the report, which is byte-reproducible."""
     if suite not in SUITES:
         raise InvalidParams(f"unknown suite {suite!r}; have {SUITES}")
-    if d not in (1, 2):
-        raise InvalidParams(f"d must be 1 or 2, got {d}")
-    GridSpec(d, n)  # validates n odd
+    # validates n and d; SizeLimit before any check allocates when not one
+    # STFT column of N^2 entries fits the budget
+    _check_columns(GridSpec(d, n))
     ctx = Context(n, d, seed)
     selected = [c for c in CHECKS if suite == "all" or c.suite == suite]
     if threads is None:

@@ -26,7 +26,7 @@ from .grid import (
     _fftn,
     _partial_dft_core,
 )
-from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer, _require_mode
+from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer, _grid_param
 
 __all__ = [
     "TimeFrequencyArray",
@@ -41,6 +41,13 @@ __all__ = [
 # dense (N, N, N, N) arrays are only materialized below this entry count; above
 # it the pointwise 4d checks read a sample of FOURD_LIMIT // N^2 frequency columns
 FOURD_LIMIT = 2_000_000
+
+
+def _column_budget(grid: GridSpec) -> int:
+    """How many frequency columns of the doubled-grid STFT, N^2 entries
+    each, fit in FOURD_LIMIT: N^2 or more exactly when the dense (N,)*4
+    array fits.  Every cap on the 4d phase space reads its budget here."""
+    return FOURD_LIMIT // grid.size**2
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,7 @@ def wigner(f1: Signal, f2: Signal, A) -> TimeFrequencyArray:
     for integer A.
     """
     grid = f1.grid
-    A = as_matrix_param(A, grid.d)
-    _require_mode(grid, A)
+    A = _grid_param(grid, A)
     if grid.mode == "mod":
         Aint = _integer_matrix(grid, A)
         Bint = Aint - np.eye(grid.d, dtype=np.int64)
@@ -148,7 +154,7 @@ def phase_space_stft(F: np.ndarray, Phi: np.ndarray, grid: GridSpec) -> np.ndarr
     the frequency; normalization n^{-d} (unitary on Z_n^{2d}).
     """
     N = grid.size
-    if N**4 > FOURD_LIMIT:
+    if _column_budget(grid) < N * N:
         raise SizeLimit(f"dense 4d array would have {N**4} entries (cap {FOURD_LIMIT})")
     D = doubled(grid)
     V = stft(Signal(D, F.ravel()), Signal(D, Phi.ravel())).data
@@ -199,11 +205,15 @@ def _column_block(windows: np.ndarray, Phihat: np.ndarray, k: np.ndarray):
 
 def _check_columns(grid: GridSpec):
     """Every frequency column (None) while the 4d grid has at most
-    FOURD_LIMIT entries, else a sorted seed-0 sample of FOURD_LIMIT // N^2."""
+    FOURD_LIMIT entries, else a sorted seed-0 sample of FOURD_LIMIT // N^2.
+    Raises SizeLimit when not one column fits, as nothing would be checked."""
     N = grid.size
-    if N**4 <= FOURD_LIMIT:
+    budget = _column_budget(grid)
+    if budget >= N * N:
         return None
-    return np.sort(np.random.default_rng(0).choice(N * N, FOURD_LIMIT // (N * N), replace=False))
+    if budget == 0:
+        raise SizeLimit(f"one STFT column has {N * N} entries (cap {FOURD_LIMIT})")
+    return np.sort(np.random.default_rng(0).choice(N * N, budget, replace=False))
 
 
 def stft_of_wigner_check(f, g, phi, psi, A) -> float:
@@ -215,16 +225,17 @@ def stft_of_wigner_check(f, g, phi, psi, A) -> float:
     Exact (fp roundoff) in mode "mod" with integer A.  Streams the left
     side by frequency columns (eta, y), each exact over all translations
     (x, xi); above FOURD_LIMIT 4d entries it reads a fixed sample of
-    columns.
+    columns, and raises SizeLimit when not one column fits.
     """
     grid = f.grid
     Aint = _integer_matrix(grid, A)
+    columns = _check_columns(grid)
     N, n = grid.size, grid.n
     Vf, Vg = stft(f, phi).data, stft(g, psi).data
     Bint = Aint - np.eye(grid.d, dtype=np.int64)
     coords = index_coords(grid)
     worst = 0.0
-    for k, lhs in _stft_columns(wigner(f, g, A).data, wigner(phi, psi, A).data, grid, _check_columns(grid)):
+    for k, lhs in _stft_columns(wigner(f, g, A).data, wigner(phi, psi, A).data, grid, columns):
         eta, y = k // N, k % N
         rhs = Vf[_shear(grid, -Aint, y)[:, :, None], _shear(grid, -Bint.T, eta)[:, None, :]]
         rhs *= np.exp(-2j * np.pi * ((coords[y] @ coords.T) % n) / n)[:, None, :]  # e^{-2i pi <y, xi>/n}
@@ -244,14 +255,14 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
     Both sides stream by frequency columns (eta, y); each column's right
     side is its own translations (x, xi) shifted by (A y, A* eta), exact
     over all of them.  Above FOURD_LIMIT 4d entries a fixed sample of
-    columns is read.  Exactly zero at A = 0; requires mode "mod" and
-    integer A.
+    columns is read, and SizeLimit raised when not one column fits.
+    Exactly zero at A = 0; requires mode "mod" and integer A.
     """
     grid = a.grid
     Aint = _integer_matrix(grid, A)
+    columns = _check_columns(grid)
     N, n = grid.size, grid.n
     coords = index_coords(grid)
-    columns = _check_columns(grid)
     worst = 0.0
     lhs_columns = _stft_columns(symbol_transfer(a, A).data, symbol_transfer(phi, A).data, grid, columns)
     for (k, lhs), (_, V) in zip(lhs_columns, _stft_columns(a.data, phi.data, grid, columns)):

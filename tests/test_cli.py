@@ -240,8 +240,58 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "all", "--n", "8", "--d", "1")
     assert code == 3
 
-    code, _, _ = run_cli(capsys, "verify", "all", "--n", "9", "--d", "3")
-    assert code == 3
+    # N = 13**3: not one STFT column of N^2 entries fits the budget
+    code, _, err = run_cli(capsys, "verify", "all", "--n", "13", "--d", "3")
+    assert code == 3 and "SizeLimit" in err
+
+
+def test_verify_refuses_an_over_budget_grid_before_any_check(tmp_path, capsys, monkeypatch):
+    # a budget below N^2 = 81 at n=9, d=1 admits not one STFT column
+    import importlib
+
+    import psdo.verify as verify_mod
+    from psdo.errors import SizeLimit
+
+    wigner_mod = importlib.import_module("psdo.wigner")  # psdo.wigner is also the function
+    ran = []
+    sentinel = verify_mod.CheckDef("sentinel", "schemes", "sentinel", 0.0, lambda ctx: ran.append(ctx) or 0.0)
+    monkeypatch.setattr(verify_mod, "CHECKS", [sentinel])
+    monkeypatch.setattr(wigner_mod, "FOURD_LIMIT", 80)
+    with pytest.raises(SizeLimit, match="one STFT column has 81 entries"):
+        verify_mod.run_suite("schemes", 9, 1, 0)
+    path = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "verify", "schemes", "--n", "9", "--json-out", str(path))
+    assert code == 3 and "SizeLimit: one STFT column has 81 entries" in err
+    assert ran == [] and not path.exists()
+    monkeypatch.setattr(wigner_mod, "FOURD_LIMIT", 81)
+    assert verify_mod.run_suite("schemes", 9, 1, 0)["passed"] and len(ran) == 1
+
+
+def test_verify_d3_skips_the_orthogonal_averages():
+    # O(3) has no Haar nodes: the checks that average over it are skipped
+    # with UnsupportedDimension's message, every other check runs
+    from psdo.errors import UnsupportedDimension
+    from psdo.schemes import _orthogonal_nodes
+    from psdo.verify import run_suite
+
+    with pytest.raises(UnsupportedDimension) as exc:
+        _orthogonal_nodes(3, 16)
+    report = run_suite("schemes", 3, 3, 7)
+    assert report["passed"]
+    skipped = {c["name"]: c["note"] for c in report["checks"] if c["skipped"]}
+    names = ("un_avg_multiplier_route", "un_avg_linearity", "scheme_hermiticity")
+    assert skipped == dict.fromkeys(names, str(exc.value))
+
+
+def test_op_commands_take_no_seed(tmp_path, capsys):
+    # only verify and bench draw random numbers, so only they take --seed
+    for name in OP_COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--seed", "1", "--out", str(tmp_path / "out.bin")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert build_parser().parse_args(["verify", "--seed", "3"]).seed == 3
+    assert build_parser().parse_args(["bench", "--seed", "3"]).seed == 3
 
 
 def test_quantize_nan_matrix_param_exits_3(tmp_path, capsys):

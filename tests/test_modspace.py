@@ -64,6 +64,15 @@ def test_make_weight_values():
     assert we.evaluate(np.array([1.0, 0.0])) == pytest.approx(math.e)
 
 
+def test_weight_trivial():
+    # only omega == 1 skips its samples: s = 0 polynomial, on any axes
+    assert trivial_weight().trivial and trivial_weight(SYMBOL_AXES).trivial
+    assert make_weight("polynomial", s=0.0).trivial
+    assert not make_weight("polynomial", s=1.0).trivial
+    assert not make_weight("exponential", c=0.0, s=1.0).trivial
+    assert not make_weight("custom", samples=np.ones((9, 9))).trivial
+
+
 def test_make_weight_validation():
     with pytest.raises(InvalidParams):
         make_weight("exponential", c=1.0, s=0.5)

@@ -130,6 +130,16 @@ def test_un_avg_multiplier_route(rng, grid9):
         assert np.abs(direct - routed).max() <= 1e-11 * a.norm()
 
 
+def test_un_avg_multiplier_grid_d1_is_cosine(grid9):
+    # the two nodes +-1 of O(1) average e^{+-i x} to cos x
+    from psdo.grid import rep_axis
+
+    reps = rep_axis(9).astype(float)
+    for r in (0.0, 0.5, 1.0):
+        want = np.cos(r * 2.0 * np.pi * np.outer(reps, reps) / 9)
+        np.testing.assert_allclose(un_avg_multiplier_grid(grid9, r), want, rtol=0, atol=1e-15)
+
+
 def test_un_avg_d2_runs_and_hermitian(rng):
     g = GridSpec(2, 5)
     a = Symbol(g, rng.standard_normal((25, 25)).astype(complex))
@@ -144,6 +154,8 @@ def test_unsupported_dimension(rng):
         quantize_scheme(a, SchemeSpec("un_avg", {"r": 0.5}))
     with pytest.raises(UnsupportedDimension):
         un_avg_multiplier(3, 0.5, [1, 0, 0], [0, 0, 1])
+    with pytest.raises(UnsupportedDimension):
+        un_avg_multiplier_grid(g, 0.5)
 
 
 def test_scheme_hermiticity(rng, grid9):

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from psdo import (
 )
 from psdo.wigner import phase_space_stft, FOURD_LIMIT, TimeFrequencyArray, _stft_columns
 from psdo.modspace import SYMBOL_AXES, MixedNormParams, make_weight, symbol_modulation_norm
-from psdo.errors import DimMismatch, ModeMismatch, ZeroWindow
+from psdo.errors import DimMismatch, ModeMismatch, SizeLimit, ZeroWindow
 
 from reference import naive_stft, naive_wigner_mod, naive_phase_space_stft
 
@@ -247,6 +248,22 @@ def test_expop_size_limit(rng):
     a, phi = Symbol.random(g, rng), Symbol.random(g, rng)
     assert expop_stft_check(a, phi, 0) == 0.0
     assert expop_stft_check(a, phi, [[1, 1], [0, 1]]) <= 1e-10
+
+
+def test_4d_checks_refuse_a_budget_below_one_column(rng, grid9m, monkeypatch):
+    # one column has N^2 = 81 entries: a budget of 80 admits no column, and
+    # a check over no column must not report 0.0; a budget of 81 reads one
+    wigner_mod = importlib.import_module("psdo.wigner")  # psdo.wigner is also the function
+    f, g_, phi, psi = (Signal.random(grid9m, rng) for _ in range(4))
+    a, Phi = Symbol.random(grid9m, rng), Symbol.random(grid9m, rng)
+    monkeypatch.setattr(wigner_mod, "FOURD_LIMIT", 80)
+    with pytest.raises(SizeLimit, match="one STFT column has 81 entries"):
+        stft_of_wigner_check(f, g_, phi, psi, 1)
+    with pytest.raises(SizeLimit, match="one STFT column has 81 entries"):
+        expop_stft_check(a, Phi, 1)
+    monkeypatch.setattr(wigner_mod, "FOURD_LIMIT", 81)
+    assert 0.0 < stft_of_wigner_check(f, g_, phi, psi, 1) <= 1e-10
+    assert 0.0 < expop_stft_check(a, Phi, 1) <= 1e-10
 
 
 def test_expop_zero_window(rng, grid9m):
