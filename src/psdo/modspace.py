@@ -16,6 +16,7 @@ position axes and 2*pi/n on frequency axes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,20 +83,37 @@ PAIR_SAMPLES = 10**5
 
 
 def as_exponent(x):
-    """Coerce to an exact exponent: a Fraction, or INF."""
-    if x is INF or (isinstance(x, float) and math.isinf(x)):
-        return INF
+    """Coerce to an exact exponent: a Fraction, or INF.
+
+    Takes a string such as "3/2" or "inf", or a number that
+    :func:`_numeric_exponent` takes; anything else raises InvalidExponent.
+    """
     if isinstance(x, str):
         if x.strip().lower() in ("inf", "infinity", "oo"):
             return INF
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidExponent(f"cannot interpret {x!r} as an exponent") from None
+    return _numeric_exponent(x)
+
+
+def _numeric_exponent(x):
+    """A real number as an exact exponent: a Fraction, or INF for +inf.
+
+    numpy scalars count as numbers; a bool, a string, a complex number,
+    NaN and -inf raise InvalidExponent.  The one rule for what a numeric
+    exponent is, shared by :func:`as_exponent` and :class:`MixedNormParams`.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidExponent(f"cannot interpret {x!r} as an exponent")
+    if isinstance(x, numbers.Rational):  # int, numpy integers, Fraction
         return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise InvalidExponent(f"cannot interpret {x!r} as an exponent")
+    if x == INF:
+        return INF
+    if not math.isfinite(x):
+        raise InvalidExponent(f"cannot interpret {x!r} as an exponent")
+    return Fraction(float(x))
 
 
 def _check_range(p):
@@ -146,7 +164,7 @@ class MixedNormParams:
 
     def __post_init__(self):
         for name, v in (("p", self.p), ("q", self.q)):
-            if not (v > 0):
+            if _numeric_exponent(v) <= 0:
                 raise InvalidExponent(f"{name} must lie in (0, inf], got {v}")
 
 
@@ -316,11 +334,16 @@ def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
 # norms
 
 
-def lp_norm(values: np.ndarray, p: float, axis=None):
-    a = np.abs(values)
+def _lp_reduce(a: np.ndarray, p: float, axis=None):
+    """l^p norm of non-negative magnitudes a; at p = inf their max, 0.0
+    when there are none.  Every l^p norm of the package ends here."""
     if math.isinf(p):
-        return a.max(axis=axis)
+        return a.max(axis=axis, initial=0.0)
     return (a**p).sum(axis=axis) ** (1.0 / p)
+
+
+def lp_norm(values: np.ndarray, p: float, axis=None):
+    return _lp_reduce(np.abs(values), p, axis)
 
 
 def mixed_norm(F, params: MixedNormParams, omega: Weight = None) -> float:
@@ -334,7 +357,7 @@ def mixed_norm(F, params: MixedNormParams, omega: Weight = None) -> float:
         raise DomainMismatch(f"mixed_norm needs a 2-block weight, got {len(omega.axes)} blocks")
     w = omega.sample(grid)
     inner = lp_norm(data * w, params.p, axis=0)
-    return float(lp_norm(inner, params.q))
+    return float(_lp_reduce(inner, params.q))
 
 
 def modulation_norm(f: Signal, params: MixedNormParams, omega: Weight = None,
@@ -374,11 +397,13 @@ def _symbol_modulation_norms(a: Symbol, params_seq, omega: Weight = None, Phi: S
     inner = np.empty((len(params_seq), N * N))
     for k, V in _stft_columns(a.data, Phi.data, grid):
         weighted = np.abs(V).reshape(len(k), N * N)
+        del V  # |V| is all the norms read
         if not omega.trivial:
             weighted *= _column_weights(omega, grid, k)
         for row, params in zip(inner, params_seq):
-            row[k] = lp_norm(weighted, params.p, axis=1)
-    return [float(lp_norm(row, params.q)) for row, params in zip(inner, params_seq)]
+            row[k] = _lp_reduce(weighted, params.p, axis=1)
+        del weighted  # no array of this block is alive while the stream computes the next
+    return [float(_lp_reduce(row, params.q)) for row, params in zip(inner, params_seq)]
 
 
 def _column_weights(omega: Weight, grid: GridSpec, k: np.ndarray) -> np.ndarray:

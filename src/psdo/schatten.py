@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidExponent
 from .grid import OperatorMatrix, Symbol
+from .modspace import _lp_reduce, _numeric_exponent
 from .quantizer import quantize
 
 __all__ = [
@@ -55,17 +56,11 @@ def singular_values(T) -> SingularSpectrum:
     return SingularSpectrum(np.linalg.svd(_matrix(T), compute_uv=False))
 
 
-def _lp(sigma: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(sigma.max(initial=0.0))
-    return float((sigma**p).sum() ** (1.0 / p))
-
-
 def schatten_norm(T, p: float) -> float:
     """l^p norm of the singular spectrum; p=2 is Frobenius, p=inf operator norm."""
-    if not (p > 0):
+    if _numeric_exponent(p) <= 0:
         raise InvalidExponent(f"Schatten exponent must lie in (0, inf], got {p}")
-    return _lp(singular_values(T).values, p)
+    return float(_lp_reduce(singular_values(T).values, p))
 
 
 def symbol_schatten_norm(a: Symbol, A, p: float) -> float:
@@ -88,11 +83,11 @@ def duality_check(T, p: float):
     at T0 = U diag(w) V^* with w the l^{p'}-unit dual vector of the
     singular values; returns (lhs, rhs, ratio).
     """
-    if not (1 <= p or math.isinf(p)):
+    if _numeric_exponent(p) < 1:
         raise InvalidExponent(f"duality needs p in [1, inf], got {p}")
     M = _matrix(T)
     U, sigma, Vh = np.linalg.svd(M)
-    lhs = _lp(sigma, p)
+    lhs = float(_lp_reduce(sigma, p))
     if lhs == 0.0:
         return 0.0, 0.0, 1.0
     if math.isinf(p):
@@ -110,7 +105,7 @@ def duality_check(T, p: float):
 def hoelder_check(T1, T2, p1: float, p2: float):
     """Composition bound ||T2 T1||_{I_r} <= ||T1||_{I_{p1}} ||T2||_{I_{p2}}
     with 1/r = 1/p1 + 1/p2; returns (lhs, rhs)."""
-    if not (p1 > 0 and p2 > 0):
+    if _numeric_exponent(p1) <= 0 or _numeric_exponent(p2) <= 0:
         raise InvalidExponent("exponents must lie in (0, inf]")
     M1, M2 = _matrix(T1), _matrix(T2)
     if M1.shape[0] != M2.shape[1]:

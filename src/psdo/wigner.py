@@ -172,6 +172,10 @@ def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
     twice along its last d axes (2^d spectra), where a column's shift is a
     window, and the window spectrum conj(Phi^) / N, which carries the scale.
     The generator keeps only those, so no (N,)*4 array is ever built.
+
+    The generator holds no block once it has handed it out.  A consumer
+    drops every array of a block before it asks for the next one, so at
+    most one block per stream is alive.
     """
     _check_window(Phi)
     d, N = grid.d, grid.size
@@ -242,7 +246,9 @@ def stft_of_wigner_check(f, g, phi, psi, A) -> float:
         Vg_sheared = Vg[_shear(grid, -Bint, y)[:, :, None], _shear(grid, -Aint.T, eta)[:, None, :]]
         rhs *= np.conj(Vg_sheared, out=Vg_sheared)
         rhs -= lhs
+        del lhs, Vg_sheared
         worst = max(worst, float(np.abs(rhs).max()))
+        del rhs  # no array of this block is alive while the stream computes the next
     return worst
 
 
@@ -254,9 +260,12 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
 
     Both sides stream by frequency columns (eta, y); each column's right
     side is its own translations (x, xi) shifted by (A y, A* eta), exact
-    over all of them.  Above FOURD_LIMIT 4d entries a fixed sample of
-    columns is read, and SizeLimit raised when not one column fits.
-    Exactly zero at A = 0; requires mode "mod" and integer A.
+    over all of them.  At A = 0 T_A is the identity, so one stream serves
+    both sides.  Each stream holds one block at a time: a block's arrays
+    are dropped before the next block is computed.  Above FOURD_LIMIT 4d
+    entries a fixed sample of columns is read, and SizeLimit raised when
+    not one column fits.  Exactly zero at A = 0; requires mode "mod" and
+    integer A.
     """
     grid = a.grid
     Aint = _integer_matrix(grid, A)
@@ -264,13 +273,21 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
     N, n = grid.size, grid.n
     coords = index_coords(grid)
     worst = 0.0
-    lhs_columns = _stft_columns(symbol_transfer(a, A).data, symbol_transfer(phi, A).data, grid, columns)
-    for (k, lhs), (_, V) in zip(lhs_columns, _stft_columns(a.data, phi.data, grid, columns)):
+    lhs_columns = None  # T_0 is the identity: at A = 0 each block is its own left side
+    if Aint.any():
+        lhs_columns = _stft_columns(symbol_transfer(a, A).data, symbol_transfer(phi, A).data, grid, columns)
+    for k, V in _stft_columns(a.data, phi.data, grid, columns):
         eta, y = k // N, k % N
         dot = np.sum((coords[y] @ Aint.T) * coords[eta], axis=1) % n  # <A y, eta>
         rhs = V[np.arange(len(k))[:, None, None], _shear(grid, Aint, y)[:, :, None],
                 _shear(grid, Aint.T, eta)[:, None, :]]
         rhs *= np.exp(2j * np.pi * dot / n)[:, None, None]
-        rhs -= lhs
+        if lhs_columns is None:
+            rhs -= V
+            del V
+        else:  # V goes before the left side's block is computed
+            del V
+            rhs -= next(lhs_columns)[1]
         worst = max(worst, float(np.abs(rhs).max()))
+        del rhs  # no array of this block is alive while the streams compute the next
     return worst

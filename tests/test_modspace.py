@@ -310,6 +310,33 @@ def test_exponent_parsing():
         conjugate_exponent(0.5)
 
 
+# none is an exponent: "abc", NaN and "1/0" escaped as a raw ValueError or
+# ZeroDivisionError, and True and -inf were taken as 1 and inf
+@pytest.mark.parametrize("x", ["abc", float("nan"), "1/0", True, -math.inf, None, 2 + 0j])
+def test_as_exponent_rejects(x):
+    with pytest.raises(InvalidExponent):
+        as_exponent(x)
+
+
+@pytest.mark.parametrize("x", ["2", None, 2 + 0j, True, float("nan"), 0, -math.inf])
+def test_mixed_norm_params_reject(x):
+    # "2", None and 2+0j escaped as a raw TypeError, and True was taken as 1
+    with pytest.raises(InvalidExponent):
+        MixedNormParams(x, 2)
+    with pytest.raises(InvalidExponent):
+        MixedNormParams(2, x)
+
+
+def test_numpy_scalars_are_exponents():
+    # numpy integers were rejected while numpy floats were taken
+    assert as_exponent(np.int64(2)) == 2
+    assert as_exponent(np.uint8(3)) == 3
+    assert as_exponent(np.float64(1.5)) == Fraction(3, 2)
+    assert as_exponent(np.float32(0.5)) == Fraction(1, 2)
+    assert as_exponent(np.float64(math.inf)) is INF
+    assert MixedNormParams(np.int64(2), np.float64(math.inf)).p == 2
+
+
 def test_conjugate_exponent():
     assert conjugate_exponent(1) is INF
     assert conjugate_exponent(INF) == 1

@@ -47,6 +47,17 @@ def test_spectrum_rank():
     assert s.operator_norm == 2.0
 
 
+@pytest.mark.parametrize("p", ["2", None, 2 + 0j, True, float("nan")])
+def test_schatten_exponents_are_numbers(p):
+    # the rule of modspace's exponents: these once escaped as a raw
+    # TypeError or (True) were taken as p = 1
+    T = np.diag([3.0, 4.0])
+    for run in (lambda: schatten_norm(T, p), lambda: duality_check(T, p),
+                lambda: hoelder_check(T, T, p, 2), lambda: hoelder_check(T, T, 2, p)):
+        with pytest.raises(InvalidExponent):
+            run()
+
+
 def test_schatten_norm_examples():
     T = np.diag([3.0, 4.0])
     assert schatten_norm(T, 1) == pytest.approx(7.0)

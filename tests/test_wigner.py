@@ -16,6 +16,7 @@ from psdo import (
     stft_of_wigner_check,
     expop_stft_check,
 )
+from psdo.grid import _BLOCK_ENTRIES
 from psdo.wigner import phase_space_stft, FOURD_LIMIT, TimeFrequencyArray, _stft_columns
 from psdo.modspace import SYMBOL_AXES, MixedNormParams, make_weight, symbol_modulation_norm
 from psdo.errors import DimMismatch, ModeMismatch, SizeLimit, ZeroWindow
@@ -323,6 +324,31 @@ def test_stft_columns_memory_d2(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 16 * g.size**2, peak / (16 * g.size**2)
+
+
+def test_4d_checks_hold_one_block_per_stream(rng):
+    # each consumer of the column stream drops a block's arrays before the
+    # next block is computed, and expop at A = 0 reads one stream: in blocks
+    # of 16 B N^2 bytes the peaks are about 2.3, 2.3, 3.2 and 1.6, where
+    # holding block i while block i+1 is computed took 5.3, 5.3, 4.2 and 2.7
+    g = GridSpec(1, 33, "mod")
+    N = g.size
+    block = 16 * (_BLOCK_ENTRIES // N**2) * N**2
+    a, phi = Symbol.random(g, rng), Symbol.random(g, rng)
+    sigs = [Signal.random(g, rng) for _ in range(4)]
+    for name, run, bound in (("expop_stft_check A=1", lambda: expop_stft_check(a, phi, 1), 2.6),
+                             ("expop_stft_check A=0", lambda: expop_stft_check(a, phi, 0), 2.5),
+                             ("stft_of_wigner_check", lambda: stft_of_wigner_check(*sigs, 1), 3.6),
+                             ("symbol_modulation_norm",
+                              lambda: symbol_modulation_norm(a, MixedNormParams(2, 2)), 1.75)):
+        run()  # first-call caches are not part of the working set
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * block, (name, peak / block)
 
 
 def test_time_frequency_arrays_reject_wrong_shape(grid9):
