@@ -107,8 +107,10 @@ def _numeric_exponent(x):
     """
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise InvalidExponent(f"cannot interpret {x!r} as an exponent")
-    if isinstance(x, numbers.Rational):  # int, numpy integers, Fraction
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Integral):  # a Python int, so no numpy scalar wraps in the exact arithmetic
+        return Fraction(int(x))
     if x == INF:
         return INF
     if not math.isfinite(x):

@@ -238,7 +238,7 @@ def stft_of_wigner_check(f, g, phi, psi, A) -> float:
     Vf, Vg = stft(f, phi).data, stft(g, psi).data
     Bint = Aint - np.eye(grid.d, dtype=np.int64)
     coords = index_coords(grid)
-    worst = 0.0
+    block_max = []
     for k, lhs in _stft_columns(wigner(f, g, A).data, wigner(phi, psi, A).data, grid, columns):
         eta, y = k // N, k % N
         rhs = Vf[_shear(grid, -Aint, y)[:, :, None], _shear(grid, -Bint.T, eta)[:, None, :]]
@@ -247,9 +247,9 @@ def stft_of_wigner_check(f, g, phi, psi, A) -> float:
         rhs *= np.conj(Vg_sheared, out=Vg_sheared)
         rhs -= lhs
         del lhs, Vg_sheared
-        worst = max(worst, float(np.abs(rhs).max()))
+        block_max.append(np.abs(rhs).max())
         del rhs  # no array of this block is alive while the stream computes the next
-    return worst
+    return float(np.max(block_max))  # a NaN block makes the result NaN
 
 
 def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
@@ -260,34 +260,27 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
 
     Both sides stream by frequency columns (eta, y); each column's right
     side is its own translations (x, xi) shifted by (A y, A* eta), exact
-    over all of them.  At A = 0 T_A is the identity, so one stream serves
-    both sides.  Each stream holds one block at a time: a block's arrays
-    are dropped before the next block is computed.  Above FOURD_LIMIT 4d
-    entries a fixed sample of columns is read, and SizeLimit raised when
-    not one column fits.  Exactly zero at A = 0; requires mode "mod" and
-    integer A.
+    over all of them.  Each stream holds one block at a time: a block's
+    arrays are dropped before the next block is computed.  Above
+    FOURD_LIMIT 4d entries a fixed sample of columns is read, and SizeLimit
+    raised when not one column fits.  Exactly zero at A = 0; requires mode
+    "mod" and integer A.
     """
     grid = a.grid
     Aint = _integer_matrix(grid, A)
     columns = _check_columns(grid)
     N, n = grid.size, grid.n
     coords = index_coords(grid)
-    worst = 0.0
-    lhs_columns = None  # T_0 is the identity: at A = 0 each block is its own left side
-    if Aint.any():
-        lhs_columns = _stft_columns(symbol_transfer(a, A).data, symbol_transfer(phi, A).data, grid, columns)
+    block_max = []
+    lhs_columns = _stft_columns(symbol_transfer(a, A).data, symbol_transfer(phi, A).data, grid, columns)
     for k, V in _stft_columns(a.data, phi.data, grid, columns):
         eta, y = k // N, k % N
         dot = np.sum((coords[y] @ Aint.T) * coords[eta], axis=1) % n  # <A y, eta>
         rhs = V[np.arange(len(k))[:, None, None], _shear(grid, Aint, y)[:, :, None],
                 _shear(grid, Aint.T, eta)[:, None, :]]
         rhs *= np.exp(2j * np.pi * dot / n)[:, None, None]
-        if lhs_columns is None:
-            rhs -= V
-            del V
-        else:  # V goes before the left side's block is computed
-            del V
-            rhs -= next(lhs_columns)[1]
-        worst = max(worst, float(np.abs(rhs).max()))
+        del V  # V goes before the left side's block is computed
+        rhs -= next(lhs_columns)[1]
+        block_max.append(np.abs(rhs).max())
         del rhs  # no array of this block is alive while the streams compute the next
-    return worst
+    return float(np.max(block_max))  # a NaN block makes the result NaN

@@ -337,6 +337,13 @@ def test_numpy_scalars_are_exponents():
     assert MixedNormParams(np.int64(2), np.float64(math.inf)).p == 2
 
 
+def test_numpy_integer_exponents_do_not_wrap():
+    # Fraction(np.uint8(4)) keeps uint8 parts, and the exact arithmetic then
+    # wrapped: 3/4 - 1 came out as 255/4
+    assert hy_functional([np.uint8(4)] * 3) == Fraction(-1, 4)
+    assert type(as_exponent(np.int64(2)).numerator) is int
+
+
 def test_conjugate_exponent():
     assert conjugate_exponent(1) is INF
     assert conjugate_exponent(INF) == 1

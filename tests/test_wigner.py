@@ -274,6 +274,21 @@ def test_expop_zero_window(rng, grid9m):
             expop_stft_check(a, zero, A)
 
 
+def test_4d_checks_report_nan(rng):
+    # a running max(worst, block max) dropped NaN blocks, so one NaN entry
+    # in an input gave 0.0, a pass
+    g = GridSpec(1, 5, "mod")
+    data = Symbol.random(g, rng).data.copy()
+    data[1, 2] = np.nan
+    a, phi = Symbol(g, data), Symbol.random(g, rng)
+    f_data = Signal.random(g, rng).data.copy()
+    f_data[3] = np.nan
+    sigs = [Signal(g, f_data)] + [Signal.random(g, rng) for _ in range(3)]
+    for A in (0, 1):
+        assert np.isnan(expop_stft_check(a, phi, A))
+        assert np.isnan(stft_of_wigner_check(*sigs, A))
+
+
 # non-symmetric shears and a swap: A != A*, so a transposed A fails
 NON_SYMMETRIC_A = ([[1, 2], [0, 1]], [[2, -1], [1, 0]], [[1, 0], [3, 1]])
 
@@ -328,9 +343,9 @@ def test_stft_columns_memory_d2(rng):
 
 def test_4d_checks_hold_one_block_per_stream(rng):
     # each consumer of the column stream drops a block's arrays before the
-    # next block is computed, and expop at A = 0 reads one stream: in blocks
-    # of 16 B N^2 bytes the peaks are about 2.3, 2.3, 3.2 and 1.6, where
-    # holding block i while block i+1 is computed took 5.3, 5.3, 4.2 and 2.7
+    # next block is computed: in blocks of 16 B N^2 bytes the peaks are about
+    # 2.3, 2.3, 3.2 and 1.6, where holding block i while block i+1 is
+    # computed took 5.3, 5.3, 4.2 and 2.7
     g = GridSpec(1, 33, "mod")
     N = g.size
     block = 16 * (_BLOCK_ENTRIES // N**2) * N**2
