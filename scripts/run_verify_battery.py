@@ -3,9 +3,9 @@
 JSON reports, each with a timing sidecar of per-check wall times.
 
 Each grid runs in its own `python -m psdo verify` child process, so each
-grid's peak RSS is its own; after the child's table the script prints the
-grid's wall time and peak RSS.  psdo must be importable by the child (for
-example with PYTHONPATH=src).
+grid's peak RSS and page faults are its own; after the child's table the
+script prints the grid's wall time, peak RSS and minor page faults.  psdo
+must be importable by the child (for example with PYTHONPATH=src).
 
 With --compare DIR each grid's report is also byte-compared with the file
 of the same name in DIR, the outdir of an earlier run: the script prints
@@ -29,7 +29,7 @@ BATTERY = [(9, 1), (17, 1), (33, 1), (65, 1), (9, 2), (15, 2)]
 def run_grid(n, d, seed, outdir):
     """Run `psdo verify all` on one grid in a child process, writing its
     report and timing sidecar into outdir; returns (exit code, wall time in
-    s, peak RSS in MB)."""
+    s, peak RSS in MB, minor page faults)."""
     stem = outdir / f"verify_n{n}_d{d}"
     argv = [sys.executable, "-m", "psdo", "verify", "all", "--n", str(n), "--d", str(d),
             "--seed", str(seed), "--json-out", f"{stem}.json", "--timing-out", f"{stem}_timing.json"]
@@ -38,7 +38,8 @@ def run_grid(n, d, seed, outdir):
     # this child's own rusage: RUSAGE_CHILDREN holds the largest peak of any
     # child so far, which only ever rises from grid to grid
     _, status, usage = os.wait4(pid, 0)
-    return os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss / 1024
+    return (os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss / 1024,
+            usage.ru_minflt)
 
 
 def compare_reports(path, earlier):
@@ -74,8 +75,9 @@ def main():
     all_ok = True
     for n, d in BATTERY:
         sys.stdout.flush()
-        code, wall, rss_mb = run_grid(n, d, args.seed, outdir)
-        print(f"[n={n} d={d}: {wall:.1f}s, peak RSS {rss_mb:.1f} MB, exit {code}]", flush=True)
+        code, wall, rss_mb, faults = run_grid(n, d, args.seed, outdir)
+        print(f"[n={n} d={d}: {wall:.1f}s, peak RSS {rss_mb:.1f} MB, {faults} minor faults, exit {code}]",
+              flush=True)
         all_ok &= code == 0
         if args.compare:
             name = f"verify_n{n}_d{d}.json"

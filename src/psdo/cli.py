@@ -19,9 +19,9 @@ import numpy as np
 from .arrays import read_array, write_array
 from .bench import format_csv, run_bench, scaling_note
 from .calculus import sharp
-from .errors import PsdoError, ValidationError
+from .errors import InvalidExponent, PsdoError, ValidationError
 from .grid import GridSpec, Signal, Symbol
-from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm
+from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm, _numeric_exponent
 from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_transfer
 from .schatten import schatten_norm
 from .schemes import SchemeSpec, quantize_scheme
@@ -99,11 +99,14 @@ def _load(inputs, name, grid, shape):
     return data
 
 
-def _number(params, key, default):
+def _exponent(params, key, default):
+    """params[key] as a float exponent, admitted by the library's one rule
+    for a numeric exponent: a bool, a string or NaN raises InvalidExponent."""
+    value = params.get(key, default)
     try:
-        return float(params.get(key, default))
-    except (TypeError, ValueError):
-        raise ValidationError(f"parameter {key!r} must be a number, got {params[key]!r}") from None
+        return float(_numeric_exponent(value))
+    except (InvalidExponent, OverflowError):
+        raise InvalidExponent(f"parameter {key!r} must be a number, got {value!r}") from None
 
 
 def _weight_from_descriptor(desc):
@@ -163,7 +166,7 @@ def _cmd_modnorm(args):
     N = grid.size
     f = Signal(grid, _load(inputs, "f", grid, (N,)))
     phi = Signal(grid, _load(inputs, "phi", grid, (N,))) if "phi" in inputs else None
-    p, q = _number(params, "p", 2), _number(params, "q", 2)
+    p, q = _exponent(params, "p", 2), _exponent(params, "q", 2)
     omega = _weight_from_descriptor(params.get("weight")) or trivial_weight()
     value = modulation_norm(f, MixedNormParams(p, q), omega, phi)
     return _write_scalar_result(out, value, {"p": p, "q": q, "weight": omega.descriptor()})
@@ -173,7 +176,7 @@ def _cmd_schatten(args):
     grid, inputs, params, out = _job_from_args(args, "schatten")
     N = grid.size
     T = _load(inputs, "t", grid, (N, N))
-    p = _number(params, "p", 2)
+    p = _exponent(params, "p", 2)
     return _write_scalar_result(out, schatten_norm(T, p), {"p": p})
 
 

@@ -146,8 +146,11 @@ CACHE_SIZE = 32
 # entries per block of every streamed evaluation: the frequency columns of
 # the phase-space STFT, the tuples of the weight-condition estimators and the
 # jittered angles of the stratified samplers; peak memory then does not grow
-# with the sample count
-_BLOCK_ENTRIES = 2**16
+# with the sample count.  At 2^14 entries a freed block stays in the malloc
+# heap and the next block reuses it; 2^16-entry (1 MiB) blocks freed more
+# than glibc's trim threshold at once, so each went back to the OS and was
+# faulted in again
+_BLOCK_ENTRIES = 2**14
 
 
 def rep(k: int, n: int) -> int:

@@ -1,10 +1,12 @@
 import importlib.util
 import json
+import os
 import pathlib
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_verify_battery.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "run_verify_battery.py"
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +41,15 @@ def test_compare_reports(tmp_path, battery):
     spaced = _write(tmp_path / "spaced.json", base, indent=1)
     assert battery.compare_reports(spaced, old) == ["(bytes only)"]
     assert battery.compare_reports(old, tmp_path / "absent.json") == ["(file missing)"]
+
+
+def test_run_grid_reports_faults(tmp_path, battery, monkeypatch):
+    # one child at n=3, d=1: it passes, and its own rusage gives the peak RSS
+    # and the minor page faults that the battery prints beside the wall time
+    paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+    code, wall, rss_mb, faults = battery.run_grid(3, 1, 7, tmp_path)
+    assert code == 0
+    assert wall > 0 and rss_mb > 0
+    assert isinstance(faults, int) and faults >= 0
+    assert json.loads((tmp_path / "verify_n3_d1.json").read_text())["passed"]

@@ -519,6 +519,10 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("quantize", {"A": True}, "matrix parameter A"),
     ("quantize", {"A": [True]}, "matrix parameter A"),
     ("quantize", {"A": [[True]]}, "matrix parameter A"),
+    ("modnorm", {"p": True}, "InvalidExponent: parameter 'p'"),
+    ("modnorm", {"q": True}, "InvalidExponent: parameter 'q'"),
+    ("schatten", {"p": True}, "InvalidExponent: parameter 'p'"),
+    ("schatten", {"p": 10**400}, "InvalidExponent: parameter 'p'"),
 ])
 def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
     g = GridSpec(1, 9)
