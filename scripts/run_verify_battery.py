@@ -4,8 +4,10 @@ JSON reports, each with a timing sidecar of per-check wall times.
 
 Each grid runs in its own `python -m psdo verify` child process, so each
 grid's peak RSS and page faults are its own; after the child's table the
-script prints the grid's wall time, peak RSS and minor page faults.  psdo
-must be importable by the child (for example with PYTHONPATH=src).
+script prints the grid's wall time, peak RSS and minor page faults, then
+the least headroom log10(tolerance / measure) over the checks that ran
+with a non-zero tolerance, and the check that has it.  psdo must be
+importable by the child (for example with PYTHONPATH=src).
 
 With --compare DIR each grid's report is also byte-compared with the file
 of the same name in DIR, the outdir of an earlier run: the script prints
@@ -18,6 +20,7 @@ Usage:
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -40,6 +43,21 @@ def run_grid(n, d, seed, outdir):
     _, status, usage = os.wait4(pid, 0)
     return (os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss / 1024,
             usage.ru_minflt)
+
+
+def least_headroom(report):
+    """(log10(tolerance / measure), name) of the check with the least
+    headroom, over the checks that were not skipped and have a non-zero
+    tolerance; a measure of 0 has infinite headroom and a NaN measure none.
+    (inf, None) when no check qualifies."""
+    def headroom(c):
+        measure = c["measure"]
+        if measure == 0:
+            return math.inf
+        return math.log10(c["tolerance"] / measure) if measure == measure else -math.inf
+
+    rooms = ((headroom(c), c["name"]) for c in report["checks"] if not c["skipped"] and c["tolerance"])
+    return min(rooms, key=lambda room: room[0], default=(math.inf, None))
 
 
 def compare_reports(path, earlier):
@@ -79,8 +97,11 @@ def main():
         print(f"[n={n} d={d}: {wall:.1f}s, peak RSS {rss_mb:.1f} MB, {faults} minor faults, exit {code}]",
               flush=True)
         all_ok &= code == 0
+        name = f"verify_n{n}_d{d}.json"
+        if (outdir / name).exists():
+            headroom, check = least_headroom(json.loads((outdir / name).read_text()))
+            print(f"[n={n} d={d}: least headroom {headroom:.1f} ({check})]")
         if args.compare:
-            name = f"verify_n{n}_d{d}.json"
             diff = compare_reports(outdir / name, pathlib.Path(args.compare) / name)
             print(f"[compare {name}: {'identical' if not diff else 'differs in ' + ', '.join(diff)}]")
             all_ok &= not diff

@@ -2,6 +2,9 @@
 orthogonal-group averaged families, plus the special functions entering
 their closed-form multipliers.
 
+Each averaged scheme, and the Born-Jordan quadrature that checks the exact
+t-average, is one kernel pass over the summed row tables of its nodes.
+
 Ground truth for the group-averaged schemes is the direct Haar average of
 quantizations, never a closed-form kernel: the multiplier functions here
 are companions whose relation to the average is itself reported and
@@ -19,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidParams, ModeMismatch, UnsupportedDimension
+from .errors import InvalidDimension, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
 from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES
 from .quantizer import MatrixParam, quantize, _kernel_formula, _quantize_average
+from .wigner import FOURD_LIMIT
 
 __all__ = [
     "SchemeSpec",
@@ -85,6 +89,12 @@ class SchemeSpec:
 
 
 def _gauss_legendre(nodes: int, lo: float, hi: float):
+    """Gauss-Legendre nodes and weights on [lo, hi].  The rule is built from
+    a nodes x nodes companion matrix, so SizeLimit is raised before it is
+    when nodes^2 exceeds FOURD_LIMIT (up to 1414 nodes are admitted)."""
+    if nodes**2 > FOURD_LIMIT:
+        raise SizeLimit(f"{nodes} Gauss-Legendre nodes need a {nodes}x{nodes} matrix "
+                        f"(cap {FOURD_LIMIT} entries)")
     x, w = np.polynomial.legendre.leggauss(nodes)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
@@ -132,13 +142,11 @@ def _born_jordan(a: Symbol) -> OperatorMatrix:
 
 
 def born_jordan_quadrature(a: Symbol, nodes: int = 20) -> OperatorMatrix:
-    """Gauss-Legendre average of Op_t(a) over t in [0, 1], one quantize per
-    node; the independent route against the exact t-averaged table."""
+    """Gauss-Legendre average sum_i w_i Op_{t_i}(a) over t in [0, 1] in one
+    kernel pass (3 FFT passes whatever `nodes` is); the independent route
+    against the exact t-averaged table."""
     t, w = _gauss_legendre(nodes, 0.0, 1.0)
-    acc = np.zeros((a.grid.size, a.grid.size), dtype=np.complex128)
-    for ti, wi in zip(t, w):
-        acc += wi * quantize(a, MatrixParam.scalar(ti, a.grid.d)).data
-    return OperatorMatrix(a.grid, acc)
+    return _quantize_average(a, [MatrixParam.scalar(ti, a.grid.d) for ti in t], w)
 
 
 def _rotation(alpha: float) -> np.ndarray:
@@ -270,8 +278,10 @@ def psi(d: int, rho: float) -> float:
 def psi_alternating(d: int, rho: float) -> float:
     """The psi series with alternating signs, i.e. psi_d evaluated on the
     imaginary axis: cos(rho) for d=1, the oscillatory Bessel profile for
-    d>1.  This is exactly what the direct Haar average of the transfer
-    phase produces (see :func:`un_avg_multiplier`).  Raises InvalidParams
+    d>1.  At d <= 2 this is exactly what the direct Haar average of the
+    transfer phase produces (see :func:`un_avg_multiplier`); at d >= 3 it
+    is the series' prefactor 2^{-(d-2)/2} times that sphere average
+    (2^{-1/2} sin(rho)/rho at d=3).  Raises InvalidParams
     once the partial sums overflow, or once rounding of the largest term
     (2^-52 times it) could exceed 1e-10: the terms cancel down to a value
     bounded by the one at 0, so beyond that the sum has no accurate digit

@@ -24,9 +24,8 @@ from .grid import (
     _BLOCK_ENTRIES,
     _GridArray,
     _fftn,
-    _partial_dft_core,
 )
-from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer, _grid_param
+from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer
 
 __all__ = [
     "TimeFrequencyArray",
@@ -39,7 +38,8 @@ __all__ = [
 ]
 
 # dense (N, N, N, N) arrays are only materialized below this entry count; above
-# it the pointwise 4d checks read a sample of FOURD_LIMIT // N^2 frequency columns
+# it the pointwise 4d checks read a sample of FOURD_LIMIT // N^2 frequency columns.
+# It also caps the nodes x nodes matrix of a Gauss-Legendre rule (schemes)
 FOURD_LIMIT = 2_000_000
 
 
@@ -98,24 +98,11 @@ def _shear(grid: GridSpec, M: np.ndarray, y=None) -> np.ndarray:
 
 
 def wigner(f1: Signal, f2: Signal, A) -> TimeFrequencyArray:
-    """Cross A-Wigner distribution W^A_{f1,f2}.
-
-    mode "mod" (integer A): W(j, k) = n^{-d/2} sum_y f1(j + A y)
-    conj(f2(j + (A-I) y)) e^{-2i pi <y,k>/n} with modular index arithmetic.
-    mode "real" (any A): n^{-d/2} times the dequantization of the
-    rank-one operator f1 f2^*, which coincides with the direct formula
-    for integer A.
-    """
-    grid = f1.grid
-    A = _grid_param(grid, A)
-    if grid.mode == "mod":
-        Aint = _integer_matrix(grid, A)
-        Bint = Aint - np.eye(grid.d, dtype=np.int64)
-        M = f1.data[_shear(grid, Aint).T] * np.conj(f2.data[_shear(grid, Bint).T])
-        W = _partial_dft_core(M, grid, 2, inverse=False)
-    else:
-        W = rank_one_symbol(f1, f2, A).data / np.sqrt(grid.size)
-    return TimeFrequencyArray(grid, W)
+    """Cross A-Wigner distribution W^A_{f1,f2}: n^{-d/2} times the
+    dequantization of the rank-one operator f1 f2^*, in either mode (mode
+    "mod" requires integer A).  For integer A this is the direct modular sum
+    n^{-d/2} sum_y f1(j + A y) conj(f2(j + (A-I) y)) e^{-2i pi <y,k>/n}."""
+    return TimeFrequencyArray(f1.grid, rank_one_symbol(f1, f2, A).data / np.sqrt(f1.grid.size))
 
 
 def weyl_wigner_stft_relation_check(f: Signal, phi: Signal) -> float:

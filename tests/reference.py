@@ -269,6 +269,18 @@ def literal_un_avg_time(a, r, t_nodes, angle_nodes):
     return acc
 
 
+def literal_bj_quadrature(a, nodes):
+    """The Gauss-Legendre sum over t in [0, 1] of quantize(a, t I), one
+    quantize per node."""
+    from psdo import quantize
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    acc = np.zeros(a.data.shape, complex)
+    for xi, wi in zip(x, w):
+        acc += (0.5 * wi) * quantize(a, 0.5 * (xi + 1.0) * np.eye(a.grid.d)).data
+    return acc
+
+
 def multiplier_born_jordan(a):
     """Born-Jordan as the Weyl quantization of the symbol whose two-block
     DFT is multiplied by sinc(pi <rep kappa, rep mu>/n)."""

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import pathlib
 
@@ -53,3 +54,19 @@ def test_run_grid_reports_faults(tmp_path, battery, monkeypatch):
     assert wall > 0 and rss_mb > 0
     assert isinstance(faults, int) and faults >= 0
     assert json.loads((tmp_path / "verify_n3_d1.json").read_text())["passed"]
+
+
+def test_least_headroom(battery):
+    def entry(name, measure, tolerance, skipped=False):
+        return {"name": name, "measure": measure, "tolerance": tolerance, "skipped": skipped}
+
+    checks = [entry("exact", 0.0, 1e-12), entry("roomy", 1e-16, 1e-12), entry("tight", 1e-13, 1e-11),
+              entry("report_only", 5.0, None), entry("zero_tol", 1e-3, 0.0),
+              entry("skipped", 1.0, 1e-12, skipped=True)]
+    headroom, name = battery.least_headroom({"checks": checks})
+    assert name == "tight" and headroom == pytest.approx(2.0)
+    # a measure of 0 counts as infinite headroom; a NaN measure as none
+    assert battery.least_headroom({"checks": checks[:1]}) == (math.inf, "exact")
+    with_nan = checks + [entry("nan", math.nan, 1e-12)]
+    assert battery.least_headroom({"checks": with_nan}) == (-math.inf, "nan")
+    assert battery.least_headroom({"checks": checks[3:]}) == (math.inf, None)

@@ -194,6 +194,18 @@ def test_scheme_command(tmp_path, capsys, rng):
     assert code == 3
 
 
+def test_scheme_with_too_many_time_nodes_exits_3(tmp_path, capsys):
+    # 1415^2 entries of the Gauss-Legendre companion matrix exceed FOURD_LIMIT,
+    # so the job stops with SizeLimit before the matrix is built
+    apath = tmp_path / "a.bin"
+    _write_symbol(apath, n=3)
+    params = {"scheme": {"kind": "un_avg_time", "params": {"r": 0.5, "t_nodes": 1415}}}
+    code, _, err = run_cli(capsys, "scheme", "--n", "3", "--input", f"a={apath}",
+                           "--params", json.dumps(params), "--out", str(tmp_path / "K.bin"))
+    assert code == 3 and "SizeLimit" in err and "1415 Gauss-Legendre nodes" in err
+    assert not (tmp_path / "K.bin").exists()
+
+
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, rng):
     assert build_parser() is build_parser()
     g = GridSpec(1, 9)

@@ -23,6 +23,7 @@ from psdo import (
     frac_shift,
     partial_dft,
     stft,
+    wigner,
     sharp,
     quantize_scheme,
     SchemeSpec,
@@ -314,15 +315,22 @@ def test_scalar_param_rejects_non_finite_without_warning(t):
             MatrixParam.scalar(t, 3)
 
 
-@pytest.mark.parametrize("A, passes", [(0.0, 1), (0.37, 3), ([[0.3, -0.7], [0.25, 0.5]], 3)])
-def test_quantize_and_dequantize_fft_passes(fft_calls, rng, A, passes):
-    g = GridSpec(2, 5)
+@pytest.mark.parametrize("mode, A, passes", [("real", 0.0, 1), ("real", 0.37, 3),
+                                              ("real", [[0.3, -0.7], [0.25, 0.5]], 3),
+                                              ("mod", [[1, 2], [0, 1]], 3)],
+                         ids=["0.0-1", "0.37-3", "A2-3", "mod-A3-3"])
+def test_quantize_and_dequantize_fft_passes(fft_calls, rng, mode, A, passes):
+    # wigner is the dequantization of a rank-one operator in either mode
+    g = GridSpec(2, 5, mode)
     a = Symbol.random(g, rng)
     T = OperatorMatrix(g, a.data)
     quantize(a, A)
     assert len(fft_calls) == passes
     fft_calls.clear()
     dequantize(T, A)
+    assert len(fft_calls) == passes
+    fft_calls.clear()
+    wigner(Signal.random(g, rng), Signal.random(g, rng), A)
     assert len(fft_calls) == passes
 
 

@@ -17,9 +17,9 @@ from psdo.schemes import (
     un_avg_multiplier_grid,
     sphere_average_exp,
 )
-from psdo.errors import InvalidDimension, InvalidParams, ModeMismatch, UnsupportedDimension
+from psdo.errors import InvalidDimension, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
 
-from reference import literal_un_avg, literal_un_avg_time, multiplier_born_jordan
+from reference import literal_bj_quadrature, literal_un_avg, literal_un_avg_time, multiplier_born_jordan
 
 
 def test_scheme_spec_validation():
@@ -67,6 +67,12 @@ def test_bj_closed_form_vs_quadrature(rng, grid9):
         assert np.abs(closed - quad).max() <= 1e-12 * a.norm()
 
 
+def test_bj_quadrature_refuses_a_node_count_over_the_entry_budget(rng):
+    # 1415^2 companion-matrix entries exceed FOURD_LIMIT; nothing is allocated
+    with pytest.raises(SizeLimit, match="1415 Gauss-Legendre nodes"):
+        born_jordan_quadrature(Symbol.random(GridSpec(1, 3), rng), nodes=1415)
+
+
 def test_bj_requires_real_mode(rng):
     g = GridSpec(1, 9, "mod")
     with pytest.raises(ModeMismatch):
@@ -87,6 +93,8 @@ def test_averaged_schemes_match_literal_loops(rng, d, n):
     for spec, want in cases:
         got = quantize_scheme(a, spec).data
         assert np.abs(got - want).max() <= 1e-12 * a.norm(), spec.kind
+    quad = born_jordan_quadrature(a, nodes=6).data
+    assert np.abs(quad - literal_bj_quadrature(a, 6)).max() <= 1e-12 * a.norm()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -259,6 +267,10 @@ def test_psi_alternating():
     alphas = 2 * np.pi * np.arange(20000) / 20000
     avg = np.mean(np.exp(1j * rho * np.cos(alphas)))
     assert psi_alternating(2, rho) == pytest.approx(float(avg.real), abs=1e-9)
+    # d = 3 keeps the series' prefactor 2^{-(d-2)/2}: 2^{-1/2} times the
+    # sphere average sin(rho)/rho
+    for rho in (0.5, 1.0, 3.0, 7.0):
+        assert abs(psi_alternating(3, rho) - 2**-0.5 * math.sin(rho) / rho) <= 1e-13
 
 
 def test_un_avg_multiplier_values():
