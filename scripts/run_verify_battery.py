@@ -48,13 +48,16 @@ def run_grid(n, d, seed, outdir):
 def least_headroom(report):
     """(log10(tolerance / measure), name) of the check with the least
     headroom, over the checks that were not skipped and have a non-zero
-    tolerance; a measure of 0 has infinite headroom and a NaN measure none.
-    (inf, None) when no check qualifies."""
+    tolerance; a measure of 0 has infinite headroom, and a NaN measure or a
+    null one (how the report writes a non-finite measure) none.  (inf, None)
+    when no check qualifies."""
     def headroom(c):
         measure = c["measure"]
         if measure == 0:
             return math.inf
-        return math.log10(c["tolerance"] / measure) if measure == measure else -math.inf
+        if measure is None or measure != measure:
+            return -math.inf
+        return math.log10(c["tolerance"] / measure)
 
     rooms = ((headroom(c), c["name"]) for c in report["checks"] if not c["skipped"] and c["tolerance"])
     return min(rooms, key=lambda room: room[0], default=(math.inf, None))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ArityMismatch
-from .grid import GridSpec, Symbol, OperatorMatrix
+from .grid import GridSpec, Symbol, OperatorMatrix, _count
 from .quantizer import as_matrix_param, quantize, dequantize, symbol_transfer
 from .modspace import (
     ExponentTuple,
@@ -115,6 +115,7 @@ def alg_hypotheses_report(exponents: ExponentTuple, weights, A, grid: GridSpec,
 
         ||a_1 # ... # a_N||_{M^{p0', q0'}_{(1/omega_0)}} / prod_j ||a_j||_{M^{pj, qj}_{(omega_j)}}.
     """
+    draws = _count("draws", draws)
     N = len(exponents.p) - 1
     if len(weights) != N + 1:
         raise ArityMismatch(f"need {N + 1} weights for N = {N} factors, got {len(weights)}")

@@ -19,6 +19,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,6 +44,15 @@ __all__ = [
     "gaussian_window",
     "doubled",
 ]
+
+
+def _count(name: str, value) -> int:
+    """value as an int when it is an integer >= 1 and not a bool, else
+    InvalidParams naming the parameter: the one rule for node, sample and
+    draw counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParams(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -273,6 +283,8 @@ def frac_shift(f: Signal, s) -> Signal:
     grid = f.grid
     n = grid.n
     s = np.broadcast_to(np.asarray(s, dtype=float), (grid.d,))
+    if not np.isfinite(s).all():
+        raise InvalidParams(f"shift must be finite, got {s.tolist()}")
     fhat = _fftn(f.data.reshape(grid.shape))
     for axis in range(grid.d):
         shape = [1] * grid.d

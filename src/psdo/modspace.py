@@ -246,13 +246,17 @@ class Weight:
 
 
 def _weight_param(kind, params, key, convert=float):
-    """convert(params[key]), or InvalidParams naming the missing or invalid key."""
+    """convert(params[key]), or InvalidParams naming the missing or invalid
+    key; a number or array of numbers must be finite."""
     if key not in params:
         raise InvalidParams(f"{kind} weight needs parameter {key!r}")
     try:
-        return convert(params[key])
+        value = convert(params[key])
     except (TypeError, ValueError):
         raise InvalidParams(f"{kind} weight parameter {key!r} is invalid: {params[key]!r}") from None
+    if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+        raise InvalidParams(f"{kind} weight parameter {key!r} must be finite, got {params[key]!r}")
+    return value
 
 
 def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:

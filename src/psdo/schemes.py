@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
-from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES
+from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES, _count
 from .quantizer import MatrixParam, quantize, _kernel_formula, _quantize_average
 from .wigner import FOURD_LIMIT
 
@@ -58,11 +58,12 @@ class SchemeSpec:
         if self.kind not in _KINDS:
             raise InvalidParams(f"unknown scheme kind {self.kind!r}")
         p = dict(self.params)
-        for key, want in (("t", numbers.Real), ("r", numbers.Real),
-                          ("angle_nodes", numbers.Integral), ("t_nodes", numbers.Integral)):
-            if key in p and (isinstance(p[key], bool) or not isinstance(p[key], want)):
-                what = "an integer" if want is numbers.Integral else "a real number"
-                raise InvalidParams(f"scheme parameter {key!r} must be {what}, got {p[key]!r}")
+        for key in ("t", "r"):
+            if key in p and (isinstance(p[key], bool) or not isinstance(p[key], numbers.Real)):
+                raise InvalidParams(f"scheme parameter {key!r} must be a real number, got {p[key]!r}")
+        for key in ("angle_nodes", "t_nodes"):
+            if key in p:
+                _count(f"scheme parameter {key!r}", p[key])
         if self.kind == "t":
             p.setdefault("t", 0.5)
         if self.kind == "born_jordan" and "quad_nodes" in p:
@@ -75,9 +76,6 @@ class SchemeSpec:
                 raise InvalidParams(f"r must be finite and >= 0, got {p['r']}")
         if self.kind == "un_avg_time":
             p.setdefault("t_nodes", 20)
-        for key in ("angle_nodes", "t_nodes"):
-            if key in p and p[key] < 1:
-                raise InvalidParams(f"{key} must be >= 1, got {p[key]}")
         object.__setattr__(self, "params", p)
 
     def descriptor(self) -> dict:
@@ -92,6 +90,7 @@ def _gauss_legendre(nodes: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights on [lo, hi].  The rule is built from
     a nodes x nodes companion matrix, so SizeLimit is raised before it is
     when nodes^2 exceeds FOURD_LIMIT (up to 1414 nodes are admitted)."""
+    nodes = _count("nodes", nodes)
     if nodes**2 > FOURD_LIMIT:
         raise SizeLimit(f"{nodes} Gauss-Legendre nodes need a {nodes}x{nodes} matrix "
                         f"(cap {FOURD_LIMIT} entries)")
@@ -167,6 +166,7 @@ def _orthogonal_nodes(d: int, angle_nodes: int):
     carrying total mass 1/2; the periodic trapezoid rule is spectrally
     accurate for the analytic integrands appearing here.
     """
+    angle_nodes = _count("angle_nodes", angle_nodes)
     if d == 1:
         return [np.array([[1.0]]), np.array([[-1.0]])], [0.5, 0.5]
     if d == 2:
@@ -349,8 +349,12 @@ def sphere_average_exp(rho: float, samples: int = 10**6, seed: int = 0) -> float
     Jittered-stratified sampling (one uniform point per equal angular
     stratum), which keeps the estimator unbiased while shrinking its
     variance far below the crude-sampling rate.  The samples are summed
-    block by block (see :func:`_stratified_angles`).
+    block by block (see :func:`_stratified_angles`).  `samples` must be an
+    integer >= 1 and rho finite.
     """
+    samples = _count("samples", samples)
+    if not math.isfinite(rho):
+        raise InvalidParams(f"rho must be finite, got {rho!r}")
     total = 0.0
     for x in _stratified_angles(np.random.default_rng(seed), samples):
         np.cos(x, out=x)

@@ -69,4 +69,7 @@ def test_least_headroom(battery):
     assert battery.least_headroom({"checks": checks[:1]}) == (math.inf, "exact")
     with_nan = checks + [entry("nan", math.nan, 1e-12)]
     assert battery.least_headroom({"checks": with_nan}) == (-math.inf, "nan")
+    # a failed check without a measure (a non-finite one) has none either
+    with_null = checks + [entry("null", None, 1e-12)]
+    assert battery.least_headroom({"checks": with_null}) == (-math.inf, "null")
     assert battery.least_headroom({"checks": checks[3:]}) == (math.inf, None)

@@ -266,7 +266,7 @@ def test_verify_refuses_an_over_budget_grid_before_any_check(tmp_path, capsys, m
 
     wigner_mod = importlib.import_module("psdo.wigner")  # psdo.wigner is also the function
     ran = []
-    sentinel = verify_mod.CheckDef("sentinel", "schemes", "sentinel", 0.0, lambda ctx: ran.append(ctx) or 0.0)
+    sentinel = verify_mod.CheckDef("sentinel", "schemes", "sentinel", 0.0, lambda ctx: ran.append(ctx) or [0.0])
     monkeypatch.setattr(verify_mod, "CHECKS", [sentinel])
     monkeypatch.setattr(wigner_mod, "FOURD_LIMIT", 80)
     with pytest.raises(SizeLimit, match="one STFT column has 81 entries"):
@@ -403,7 +403,7 @@ def test_verify_table_prints_skip_reason(tmp_path, capsys):
 def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     import psdo.verify as verify_mod
 
-    failing = verify_mod.CheckDef("always_fails", "schemes", "sentinel", 0.0, lambda ctx: 1.0)
+    failing = verify_mod.CheckDef("always_fails", "schemes", "sentinel", 0.0, lambda ctx: [1.0])
     monkeypatch.setattr(verify_mod, "CHECKS", [failing])
     code, stdout, _ = run_cli(capsys, "verify", "schemes", "--n", "9",
                               "--json-out", str(tmp_path / "r.json"))
@@ -535,6 +535,8 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("modnorm", {"q": True}, "InvalidExponent: parameter 'q'"),
     ("schatten", {"p": True}, "InvalidExponent: parameter 'p'"),
     ("schatten", {"p": 10**400}, "InvalidExponent: parameter 'p'"),
+    ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": float("nan")}}}, "'s' must be finite"),
+    ("modnorm", {"weight": {"kind": "exponential", "params": {"c": float("inf"), "s": 1}}}, "'c' must be finite"),
 ])
 def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
     g = GridSpec(1, 9)

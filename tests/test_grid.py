@@ -137,6 +137,14 @@ def test_frac_shift_2d(rng):
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, [0.5, -np.inf]])
+def test_frac_shift_refuses_a_non_finite_shift(s):
+    # a non-finite shift would turn every sample into NaN
+    f = Signal.delta(GridSpec(2, 5))
+    with pytest.raises(InvalidParams, match="shift must be finite"):
+        frac_shift(f, s)
+
+
 def test_gaussian_window_normalized():
     for d in (1, 2):
         g = GridSpec(d, 9)

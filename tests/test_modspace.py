@@ -82,6 +82,14 @@ def test_make_weight_validation():
         make_weight("custom", samples=np.array([[1.0, -1.0], [1.0, 1.0]]))
     with pytest.raises(InvalidParams):
         make_weight("polynomial", axes=("pos", "bogus"), s=1.0)
+    # a NaN or infinite weight parameter would give a NaN norm
+    for kind, params, key in (("polynomial", {"s": math.nan}, "'s'"),
+                              ("polynomial", {"s": -math.inf}, "'s'"),
+                              ("exponential", {"c": math.inf, "s": 1.0}, "'c'"),
+                              ("exponential", {"c": 1.0, "s": math.nan}, "'s'"),
+                              ("custom", {"samples": [[1.0, math.inf], [1.0, 1.0]]}, "'samples'")):
+        with pytest.raises(InvalidParams, match=f"{key} must be finite"):
+            make_weight(kind, **params)
 
 
 def test_weight_product_and_inverse():
@@ -426,10 +434,10 @@ def test_every_check_memory():
     try:
         for check in verify.CHECKS:
             tracemalloc.reset_peak()
-            measure = check.fn(ctx)
+            entry = verify._run_check(check, ctx)
             peaks[check.name] = tracemalloc.get_traced_memory()[1]
             if check.name == "weight_bounds_trivial":
-                assert measure == 0.0
+                assert entry["measure"] == 0.0
     finally:
         tracemalloc.stop()
     worst = max(peaks, key=peaks.get)

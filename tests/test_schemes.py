@@ -41,6 +41,46 @@ def test_born_jordan_takes_no_quad_nodes():
         SchemeSpec("born_jordan", {"quad_nodes": 20})
 
 
+def _composition_report(draws):
+    from psdo.calculus import alg_hypotheses_report
+    from psdo.modspace import SYMBOL_AXES, ExponentTuple, trivial_weight
+
+    # exponents and weights under which both predicates hold, so the draws run
+    t = ExponentTuple(p=(2, 2, 2), q=(2, 2, 2))
+    return alg_hypotheses_report(t, [trivial_weight(SYMBOL_AXES)] * 3, 0.5, GridSpec(1, 3), draws=draws)
+
+
+_A3 = Symbol.constant(GridSpec(1, 3))
+
+
+_COUNT_CASES = {
+    "bj_nodes_0": (lambda: born_jordan_quadrature(_A3, nodes=0), "nodes"),
+    "bj_nodes_-1": (lambda: born_jordan_quadrature(_A3, nodes=-1), "nodes"),
+    "bj_nodes_2.5": (lambda: born_jordan_quadrature(_A3, nodes=2.5), "nodes"),
+    "bj_nodes_True": (lambda: born_jordan_quadrature(_A3, nodes=True), "nodes"),
+    "sphere_samples_0": (lambda: sphere_average_exp(1.0, samples=0), "samples"),
+    "sphere_samples_-3": (lambda: sphere_average_exp(1.0, samples=-3), "samples"),
+    "sphere_samples_2.5": (lambda: sphere_average_exp(1.0, samples=2.5), "samples"),
+    "sphere_rho_nan": (lambda: sphere_average_exp(math.nan, samples=10), "rho"),
+    "sphere_rho_inf": (lambda: sphere_average_exp(math.inf, samples=10), "rho"),
+    "un_avg_multiplier_0": (lambda: un_avg_multiplier(2, 0.5, [1.0, 0.0], [0.0, 1.0], angle_nodes=0),
+                            "angle_nodes"),
+    "un_avg_multiplier_grid_0": (lambda: un_avg_multiplier_grid(GridSpec(2, 3), 0.5, angle_nodes=0),
+                                 "angle_nodes"),
+    "composition_draws_0": (lambda: _composition_report(draws=0), "draws"),
+}
+
+
+@pytest.mark.parametrize("case", _COUNT_CASES)
+def test_counts_are_integers_of_at_least_one(case):
+    # node, sample and draw counts share one rule: an integer >= 1, not a
+    # bool, else InvalidParams naming the parameter (never numpy's
+    # ValueError, a raw TypeError, a ZeroDivisionError or an empty average)
+    call, name = _COUNT_CASES[case]
+    with pytest.raises(InvalidParams, match=name):
+        call()
+
+
 def test_bj_of_constant_is_identity(grid9):
     K = quantize_scheme(Symbol.constant(grid9), SchemeSpec("born_jordan")).data
     np.testing.assert_allclose(K, np.eye(9), atol=1e-13)
