@@ -94,12 +94,26 @@ def _read_bin(path):
 
 
 def read_array(path):
-    """Read an array file; returns (data, grid)."""
+    """Read an array file; returns (data, grid).  An entry that is NaN or
+    infinite is a ValidationError naming the file."""
     path = str(path)
     if path.endswith(".bin"):
-        return _read_bin(path)
-    if not path.endswith(".csv"):
+        data, grid = _read_bin(path)
+    elif path.endswith(".csv"):
+        data, grid = _read_csv(path)
+    else:
         raise ValidationError(f"unsupported array extension (want .csv or .bin): {path}")
+    # the min and the max of all real and imaginary parts (a view: both
+    # readers return C-contiguous complex128) are finite iff every entry is,
+    # and unlike isfinite the two reductions allocate no temporary array
+    parts = data.ravel().view(np.float64)
+    if not (math.isfinite(parts.min(initial=0.0)) and math.isfinite(parts.max(initial=0.0))):
+        raise ValidationError(f"{path}: array has a non-finite entry")
+    return data, grid
+
+
+def _read_csv(path):
+    """(data, grid) of a .csv file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
@@ -120,5 +134,6 @@ def read_array(path):
         raise ValidationError(f"{path}: unreadable array file: {exc}") from exc
     if rows.shape != (count, 2):
         raise ValidationError(f"{path}: payload has shape {rows.shape}, header says {count} rows")
-    data = (rows[:, 0] + 1j * rows[:, 1]).reshape(shape)
-    return data, grid
+    # each (re, im) row read as one complex128, with no arithmetic that could
+    # turn an infinite part into NaN
+    return rows.view(np.complex128).reshape(shape), grid

@@ -32,26 +32,31 @@ from .wigner import stft, wigner
 OP_COMMANDS = ("quantize", "scheme", "wigner", "stft", "modnorm", "schatten", "compose", "transfer")
 
 
-def _echo(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+def _json_line(obj) -> str:
+    """obj as one line of strict JSON, as verify's report is written: a NaN
+    or infinite result raises ValidationError before anything is written."""
+    try:
+        return json.dumps(obj, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValidationError(f"result is not finite: {obj!r}") from None
 
 
 def _write_array_result(out, X, **extra):
     """Write the array result X to `out` and echo its Frobenius norm, then
     the command's `extra` keys in order."""
+    line = _json_line({"frobenius_norm": X.norm(), **extra})
     write_array(out, X.data, X.grid)
-    _echo({"frobenius_norm": X.norm(), **extra})
+    sys.stdout.write(line)
     return 0
 
 
 def _write_scalar_result(out, value, params_echo):
     """Echo the scalar result, and also write it as JSON to `out` if given."""
-    result = {"value": value, "params_echo": params_echo}
+    line = _json_line({"value": value, "params_echo": params_echo})
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh)
-            fh.write("\n")
-    _echo(result)
+            fh.write(line)
+    sys.stdout.write(line)
     return 0
 
 

@@ -46,13 +46,37 @@ __all__ = [
 ]
 
 
-def _count(name: str, value) -> int:
+def _is_real(x) -> bool:
+    """A real number, numpy's included, and not a bool: the one predicate
+    of the rules for counts, real parameters and exponents."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _count(name: str, value, error=InvalidParams) -> int:
     """value as an int when it is an integer >= 1 and not a bool, else
-    InvalidParams naming the parameter: the one rule for node, sample and
-    draw counts."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidParams(f"{name} must be an integer >= 1, got {value!r}")
+    `error` naming the parameter: the one rule for counts (grid sizes,
+    nodes, samples, draws, and the psi functions' dimension)."""
+    if not (_is_real(value) and isinstance(value, numbers.Integral)) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value, minimum=None):
+    """value, unchanged, if it is a real number or real entries (no bool or
+    string), all finite and at least `minimum` if given; else InvalidParams
+    naming the parameter: the one rule for real parameters.  Only an array
+    that is not a numeric ndarray is scanned entry by entry."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf" or _is_real(value)
+            or all(map(_is_real, np.asarray(value, dtype=object).flat))):
+        raise InvalidParams(f"{name} must be a real number or real entries, got {value!r}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an int beyond the largest float
+        arr = np.inf
+    if not np.isfinite(arr).all() or minimum is not None and (arr < minimum).any():
+        bound = "" if minimum is None else f" and >= {minimum}"
+        raise InvalidParams(f"{name} must be finite{bound}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,14 +94,10 @@ class GridSpec:
     mode: str = "real"
 
     def __post_init__(self):
-        for name, v in (("d", self.d), ("n", self.n)):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InvalidParams(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        if self.d < 1:
-            raise InvalidParams(f"dimension must be >= 1, got {self.d}")
-        if self.n < 1 or self.n % 2 == 0:
-            raise InvalidParams(f"points per axis must be odd and positive, got {self.n}")
+        object.__setattr__(self, "d", _count("dimension d", self.d))
+        object.__setattr__(self, "n", _count("points per axis n", self.n))
+        if self.n % 2 == 0:
+            raise InvalidParams(f"points per axis must be odd, got {self.n}")
         if self.mode not in ("real", "mod"):
             raise InvalidParams(f"mode must be 'real' or 'mod', got {self.mode!r}")
 
@@ -278,13 +298,11 @@ def frac_shift(f: Signal, s) -> Signal:
 
     The DFT coefficient at k is multiplied by e^{-2i pi <rep(k), s>/n}; for
     integer s this is the exact cyclic shift. n-periodic in each component
-    of s.
+    of s, so s is first reduced mod n (exactly), which keeps the phases finite.
     """
     grid = f.grid
     n = grid.n
-    s = np.broadcast_to(np.asarray(s, dtype=float), (grid.d,))
-    if not np.isfinite(s).all():
-        raise InvalidParams(f"shift must be finite, got {s.tolist()}")
+    s = np.fmod(np.broadcast_to(np.asarray(_real("shift", s), dtype=float), (grid.d,)), n)
     fhat = _fftn(f.data.reshape(grid.shape))
     for axis in range(grid.d):
         shape = [1] * grid.d

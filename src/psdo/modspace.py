@@ -30,7 +30,8 @@ from .errors import (
     SizeLimit,
     TooFewEntries,
 )
-from .grid import GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords, _BLOCK_ENTRIES
+from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords, _BLOCK_ENTRIES, _is_real,
+                   _real)
 from .quantizer import as_matrix_param
 from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _column_budget, _stft_columns
 
@@ -105,7 +106,7 @@ def _numeric_exponent(x):
     NaN and -inf raise InvalidExponent.  The one rule for what a numeric
     exponent is, shared by :func:`as_exponent` and :class:`MixedNormParams`.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if not _is_real(x):
         raise InvalidExponent(f"cannot interpret {x!r} as an exponent")
     if isinstance(x, Fraction):
         return x
@@ -245,18 +246,10 @@ class Weight:
                 "axes": list(self.axes)}
 
 
-def _weight_param(kind, params, key, convert=float):
-    """convert(params[key]), or InvalidParams naming the missing or invalid
-    key; a number or array of numbers must be finite."""
-    if key not in params:
-        raise InvalidParams(f"{kind} weight needs parameter {key!r}")
-    try:
-        value = convert(params[key])
-    except (TypeError, ValueError):
-        raise InvalidParams(f"{kind} weight parameter {key!r} is invalid: {params[key]!r}") from None
-    if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
-        raise InvalidParams(f"{kind} weight parameter {key!r} must be finite, got {params[key]!r}")
-    return value
+def _weight_param(kind, params, key, minimum=None):
+    """params[key] under the real-parameter rule, which refuses a missing
+    key (None) with InvalidParams naming it."""
+    return _real(f"{kind} weight parameter {key!r}", params.get(key), minimum)
 
 
 def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
@@ -266,20 +259,19 @@ def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
         if a not in ("pos", "freq"):
             raise InvalidParams(f"axis kind must be 'pos' or 'freq', got {a!r}")
     if kind == "polynomial":
-        return Weight("polynomial", axes, (_weight_param(kind, params, "s"),))
+        return Weight("polynomial", axes, (float(_weight_param(kind, params, "s")),))
     if kind == "exponential":
-        c, s = _weight_param(kind, params, "c"), _weight_param(kind, params, "s")
-        if s < 1:
-            raise InvalidParams(f"exponential weight needs s >= 1, got {s}")
+        c, s = float(_weight_param(kind, params, "c")), float(_weight_param(kind, params, "s", minimum=1))
         return Weight("exponential", axes, (c, s))
     if kind == "product":
-        factors = _weight_param(kind, params, "factors", tuple)
-        if len(factors) != 2:
-            raise InvalidParams(f"product weight needs 2 factors, got {len(factors)}")
+        factors = params.get("factors")
+        if not (isinstance(factors, (tuple, list)) and len(factors) == 2
+                and all(isinstance(w, Weight) for w in factors)):
+            raise InvalidParams(f"product weight needs parameter 'factors', 2 weights, got {factors!r}")
         w1, w2 = factors
         return Weight("product", w1.axes + w2.axes, (w1, w2))
     if kind == "custom":
-        samples = _weight_param(kind, params, "samples", lambda x: np.asarray(x, dtype=float))
+        samples = np.asarray(_weight_param(kind, params, "samples"), dtype=float)
         if not np.all(samples > 0):
             raise InvalidParams("custom weight samples must be strictly positive")
         return Weight("custom", axes, (samples,))

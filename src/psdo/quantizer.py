@@ -48,6 +48,7 @@ from .grid import (
     _block_axes,
     _fftn,
     _partial_dft_core,
+    _real,
 )
 
 __all__ = [
@@ -70,12 +71,9 @@ class MatrixParam:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = np.array(_real("matrix parameter entries", self.entries), dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParams(f"matrix parameter must be square, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidParams("matrix parameter entries must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -89,9 +87,7 @@ class MatrixParam:
 
     @classmethod
     def scalar(cls, t: float, d: int) -> "MatrixParam":
-        if not np.isfinite(t):  # before t * I, where inf * 0 would warn
-            raise InvalidParams(f"matrix parameter must be finite, got {t}")
-        return cls(t * np.eye(d))
+        return cls(_real("matrix parameter t", t) * np.eye(d))
 
     @classmethod
     def zero(cls, d: int) -> "MatrixParam":
@@ -117,17 +113,12 @@ def as_matrix_param(A, d: int) -> MatrixParam:
         if A.d != d:
             raise InvalidParams(f"matrix parameter is {A.d}x{A.d}, grid needs {d}x{d}")
         return A
-    try:
-        # a JSON true is a number to numpy, but no matrix entry
-        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(A, dtype=object).flat):
-            raise TypeError
-        if np.isscalar(A):
-            return MatrixParam.scalar(float(A), d)
-        entries = np.asarray(A, dtype=float).reshape(d, d)
-    except (TypeError, ValueError):
-        raise InvalidParams(f"matrix parameter A must be a real number or {d}x{d} real entries, "
-                            f"got {A!r}") from None
-    return MatrixParam(entries)
+    entries = np.asarray(_real("matrix parameter A", A), dtype=float)
+    if entries.ndim == 0:  # t, meaning t * I
+        return MatrixParam(entries * np.eye(d))
+    if entries.size != d * d:
+        raise InvalidParams(f"matrix parameter A must be a real number or {d}x{d} real entries, got {A!r}")
+    return MatrixParam(entries.reshape(d, d))
 
 
 def _grid_param(grid: GridSpec, A) -> MatrixParam:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidExponent
+from .errors import DimMismatch, InvalidExponent, InvalidParams
 from .grid import OperatorMatrix, Symbol
 from .modspace import _lp_reduce, _numeric_exponent
 from .quantizer import quantize
@@ -51,9 +51,17 @@ def _matrix(T) -> np.ndarray:
     return np.asarray(T, dtype=np.complex128)
 
 
+def _svd(M, compute_uv=False):
+    """np.linalg.svd of the matrix M; a NaN or infinite entry, on which the
+    SVD would not converge, raises InvalidParams first."""
+    if not np.isfinite(M).all():
+        raise InvalidParams("operator has a non-finite entry, so it has no singular values")
+    return np.linalg.svd(M, compute_uv=compute_uv)
+
+
 def singular_values(T) -> SingularSpectrum:
     """Singular values, sorted nonincreasing; sigma_1 is the operator norm."""
-    return SingularSpectrum(np.linalg.svd(_matrix(T), compute_uv=False))
+    return SingularSpectrum(_svd(_matrix(T)))
 
 
 def schatten_norm(T, p: float) -> float:
@@ -86,7 +94,7 @@ def duality_check(T, p: float):
     if _numeric_exponent(p) < 1:
         raise InvalidExponent(f"duality needs p in [1, inf], got {p}")
     M = _matrix(T)
-    U, sigma, Vh = np.linalg.svd(M)
+    U, sigma, Vh = _svd(M, compute_uv=True)
     lhs = float(_lp_reduce(sigma, p))
     if lhs == 0.0:
         return 0.0, 0.0, 1.0
@@ -112,6 +120,6 @@ def hoelder_check(T1, T2, p1: float, p2: float):
         raise DimMismatch(f"cannot compose {M2.shape} after {M1.shape}")
     inv_r = (0.0 if math.isinf(p1) else 1.0 / p1) + (0.0 if math.isinf(p2) else 1.0 / p2)
     r = math.inf if inv_r == 0.0 else 1.0 / inv_r
+    rhs = schatten_norm(M1, p1) * schatten_norm(M2, p2)  # refuses a non-finite factor first
     lhs = schatten_norm(M2 @ M1, r)
-    rhs = schatten_norm(M1, p1) * schatten_norm(M2, p2)
     return lhs, rhs

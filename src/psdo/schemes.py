@@ -17,13 +17,12 @@ axis.  Both are provided.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
-from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES, _count
+from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES, _count, _real
 from .quantizer import MatrixParam, quantize, _kernel_formula, _quantize_average
 from .wigner import FOURD_LIMIT
 
@@ -58,9 +57,9 @@ class SchemeSpec:
         if self.kind not in _KINDS:
             raise InvalidParams(f"unknown scheme kind {self.kind!r}")
         p = dict(self.params)
-        for key in ("t", "r"):
-            if key in p and (isinstance(p[key], bool) or not isinstance(p[key], numbers.Real)):
-                raise InvalidParams(f"scheme parameter {key!r} must be a real number, got {p[key]!r}")
+        for key, minimum in (("t", None), ("r", 0)):
+            if key in p:
+                _real(f"scheme parameter {key!r}", p[key], minimum)
         for key in ("angle_nodes", "t_nodes"):
             if key in p:
                 _count(f"scheme parameter {key!r}", p[key])
@@ -72,8 +71,6 @@ class SchemeSpec:
         if self.kind in ("un_avg", "un_avg_time"):
             p.setdefault("r", 0.0)
             p.setdefault("angle_nodes", 64)
-            if not 0 <= p["r"] < math.inf:
-                raise InvalidParams(f"r must be finite and >= 0, got {p['r']}")
         if self.kind == "un_avg_time":
             p.setdefault("t_nodes", 20)
         object.__setattr__(self, "params", p)
@@ -251,11 +248,9 @@ def _psi_series(d: int, rho: float, signed: bool) -> float:
     return total
 
 
-def _check_psi_args(d, rho):
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d}")
-    if not 0 <= rho < math.inf:
-        raise InvalidParams(f"argument must be finite and >= 0, got {rho}")
+def _check_psi_args(d, name, rho):
+    _count("dimension d", d, InvalidDimension)
+    _real(name, rho, minimum=0)
 
 
 def psi(d: int, rho: float) -> float:
@@ -266,7 +261,7 @@ def psi(d: int, rho: float) -> float:
 
     truncated once the next term falls below 1e-16 of the partial sum
     (at least 10 terms).  Raises InvalidParams once the value overflows."""
-    _check_psi_args(d, rho)
+    _check_psi_args(d, "rho", rho)
     if d == 1:
         try:
             return math.cosh(rho)
@@ -286,7 +281,7 @@ def psi_alternating(d: int, rho: float) -> float:
     (2^-52 times it) could exceed 1e-10: the terms cancel down to a value
     bounded by the one at 0, so beyond that the sum has no accurate digit
     left to trust (from rho of about 17 at d=2, 20 at d=4)."""
-    _check_psi_args(d, rho)
+    _check_psi_args(d, "rho", rho)
     if d == 1:
         return math.cos(rho)
     return _psi_series(d, rho, signed=True)
@@ -296,7 +291,7 @@ def psi0(d: int, r: float) -> float:
     """Running integral of psi_d from 0 to r; sinh(r) for d=1, termwise
     integration of the series for d>1 (each monomial integrates exactly).
     Raises InvalidParams once the value overflows."""
-    _check_psi_args(d, r)
+    _check_psi_args(d, "r", r)
     if d == 1:
         try:
             return math.sinh(r)
@@ -324,6 +319,7 @@ def un_avg_multiplier_grid(grid, r: float, angle_nodes: int = 64) -> np.ndarray:
     Fourier grid: averaging Op_{rU + I/2} equals applying this to the
     two-block DFT and then quantizing at I/2.  The average runs over the
     nodes of :func:`_orthogonal_nodes`."""
+    _real("r", r, minimum=0)
     mats, wts = _orthogonal_nodes(grid.d, angle_nodes)
     reps = rep_coords(grid).astype(float)
     scaled = 2.0 * np.pi * reps / grid.n
@@ -337,9 +333,10 @@ def un_avg_multiplier(d: int, r: float, m_vec, c_vec, angle_nodes: int = 64) -> 
     """Haar average over U in O(d) of e^{i r <U m, c>} for real d-vectors,
     over the equal-weight nodes of :func:`_orthogonal_nodes` (at d=1 the
     exact two-point average cos(r m c))."""
+    _real("r", r, minimum=0)
     mats, wts = _orthogonal_nodes(d, angle_nodes)
-    m_vec = np.atleast_1d(np.asarray(m_vec, dtype=float))
-    c_vec = np.atleast_1d(np.asarray(c_vec, dtype=float))
+    m_vec = np.atleast_1d(np.asarray(_real("m_vec", m_vec), dtype=float))
+    c_vec = np.atleast_1d(np.asarray(_real("c_vec", c_vec), dtype=float))
     return complex(sum(w * np.exp(1j * r * (U @ m_vec) @ c_vec) for U, w in zip(mats, wts)))
 
 
@@ -350,11 +347,11 @@ def sphere_average_exp(rho: float, samples: int = 10**6, seed: int = 0) -> float
     stratum), which keeps the estimator unbiased while shrinking its
     variance far below the crude-sampling rate.  The samples are summed
     block by block (see :func:`_stratified_angles`).  `samples` must be an
-    integer >= 1 and rho finite.
+    integer >= 1, and rho finite and small enough that the sum cannot overflow.
     """
     samples = _count("samples", samples)
-    if not math.isfinite(rho):
-        raise InvalidParams(f"rho must be finite, got {rho!r}")
+    if abs(_real("rho", rho)) + math.log(samples) > math.log(np.finfo(float).max):
+        raise InvalidParams(f"rho {rho!r} can overflow the sum of {samples} samples")
     total = 0.0
     for x in _stratified_angles(np.random.default_rng(seed), samples):
         np.cos(x, out=x)

@@ -253,3 +253,14 @@ def test_csv_unreadable_payload_cli_exits_3(tmp_path, capsys, body):
     assert code == 3
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_non_finite_entry_is_rejected_naming_the_file(tmp_path, suffix, bad):
+    data = np.zeros((3, 3), dtype=complex)
+    data[1, 2] = complex(1.0, bad)
+    path = tmp_path / f"a{suffix}"
+    write_array(path, data, GridSpec(1, 3))
+    with pytest.raises(ValidationError, match=re.escape(str(path)) + ".*non-finite"):
+        read_array(path)

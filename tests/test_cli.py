@@ -537,6 +537,9 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("schatten", {"p": 10**400}, "InvalidExponent: parameter 'p'"),
     ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": float("nan")}}}, "'s' must be finite"),
     ("modnorm", {"weight": {"kind": "exponential", "params": {"c": float("inf"), "s": 1}}}, "'c' must be finite"),
+    ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": True}}}, "'s'"),
+    ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": "1"}}}, "'s'"),
+    ("quantize", {"A": "0.5"}, "matrix parameter A"),
 ])
 def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
     g = GridSpec(1, 9)
@@ -548,3 +551,34 @@ def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command,
                                 "--params", json.dumps(params), "--out", str(out))
     assert code == 3 and needle in err and stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, shape", [
+    ("modnorm", "f", (9,)), ("quantize", "a", (9, 9)), ("schatten", "t", (9, 9))])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_input_file_exits_3_naming_the_file(tmp_path, capsys, command, name, shape, bad):
+    # a NaN entry once gave exit 0 with a NaN in the output (or, for
+    # schatten, a raw "SVD did not converge" traceback)
+    data = np.ones(shape, dtype=complex)
+    data.flat[3] = bad
+    path = tmp_path / "x.bin"
+    write_array(path, data, GridSpec(1, 9))
+    out = tmp_path / ("v.json" if command != "quantize" else "K.bin")
+    code, stdout, err = run_cli(capsys, command, "-i", f"{name}={path}", "--out", str(out))
+    assert code == 3 and str(path) in err and "non-finite" in err and stdout == ""
+    assert not out.exists()
+
+
+def test_a_non_finite_result_is_refused_before_anything_is_written(tmp_path, capsys):
+    # the CLI writes strict JSON, as verify's report does
+    from psdo.cli import _write_array_result, _write_scalar_result
+    from psdo.errors import ValidationError
+
+    out = tmp_path / "v.json"
+    with pytest.raises(ValidationError, match="not finite"):
+        _write_scalar_result(str(out), float("nan"), {"p": 2.0})
+    K = Symbol(GridSpec(1, 3), np.full((3, 3), np.inf, dtype=complex))
+    with pytest.raises(ValidationError, match="not finite"):
+        _write_array_result(str(tmp_path / "K.bin"), K)
+    assert not out.exists() and not (tmp_path / "K.bin").exists()
+    assert capsys.readouterr().out == ""

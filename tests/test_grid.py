@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from psdo import GridSpec, Signal, Symbol, dft, idft, partial_dft, frac_shift, gaussian_window, rep
-from psdo.errors import DimMismatch, InvalidParams
+from psdo.errors import DimMismatch, InvalidDimension, InvalidParams
+from psdo.modspace import make_weight
+from psdo.quantizer import MatrixParam, as_matrix_param
+from psdo.schemes import (SchemeSpec, psi, psi0, psi_alternating, sphere_average_exp, un_avg_multiplier,
+                          un_avg_multiplier_grid)
 from psdo.grid import CACHE_SIZE, _coords, _rel_index, rel_index, rep_axis
 
 from reference import naive_dft
@@ -143,6 +149,75 @@ def test_frac_shift_refuses_a_non_finite_shift(s):
     f = Signal.delta(GridSpec(2, 5))
     with pytest.raises(InvalidParams, match="shift must be finite"):
         frac_shift(f, s)
+
+
+def test_frac_shift_reduces_a_huge_shift_exactly():
+    # the phase is n-periodic in s, so fmod(s, n) gives the same answer with
+    # no overflow on the way
+    f = Signal.random(GridSpec(1, 5), np.random.default_rng(3))
+    np.testing.assert_array_equal(frac_shift(f, 1e308).data, frac_shift(f, math.fmod(1e308, 5)).data)
+    assert np.isfinite(frac_shift(f, -1e308).data).all()
+
+
+_F = Signal.delta(GridSpec(2, 5))
+
+# entry point -> (call with the bad value, parameter named in the message,
+# whether the parameter must also be >= 0)
+_REAL_PARAMS = {
+    "frac_shift": (lambda v: frac_shift(_F, v), "shift", False),
+    "frac_shift_entry": (lambda v: frac_shift(_F, [0.5, v]), "shift", False),
+    "MatrixParam": (lambda v: MatrixParam(np.array([[v]])), "matrix parameter", False),
+    "MatrixParam_list": (lambda v: MatrixParam([[1.0, v], [0.0, 1.0]]), "matrix parameter", False),
+    "MatrixParam.scalar": (lambda v: MatrixParam.scalar(v, 2), "matrix parameter t", False),
+    "as_matrix_param": (lambda v: as_matrix_param(v, 1), "matrix parameter A", False),
+    "as_matrix_param_entry": (lambda v: as_matrix_param([[0.5, v], [0, 1]], 2), "matrix parameter A", False),
+    "polynomial_s": (lambda v: make_weight("polynomial", s=v), "'s'", False),
+    "exponential_c": (lambda v: make_weight("exponential", c=v, s=1), "'c'", False),
+    "exponential_s": (lambda v: make_weight("exponential", c=1, s=v), "'s'", True),
+    "custom_samples": (lambda v: make_weight("custom", samples=[[1.0, v], [1.0, 1.0]]), "'samples'", False),
+    "scheme_t": (lambda v: SchemeSpec("t", {"t": v}), "'t'", False),
+    "scheme_r": (lambda v: SchemeSpec("un_avg", {"r": v}), "'r'", True),
+    "scheme_time_r": (lambda v: SchemeSpec("un_avg_time", {"r": v}), "'r'", True),
+    "psi_d1": (lambda v: psi(1, v), "rho", True),
+    "psi_d2": (lambda v: psi(2, v), "rho", True),
+    "psi_alternating": (lambda v: psi_alternating(2, v), "rho", True),
+    "psi0": (lambda v: psi0(2, v), "r", True),
+    "sphere_average_exp": (lambda v: sphere_average_exp(v, samples=10), "rho", False),
+    "un_avg_multiplier_r": (lambda v: un_avg_multiplier(2, v, [1, 0], [0, 1], angle_nodes=4), "r", True),
+    "un_avg_multiplier_m": (lambda v: un_avg_multiplier(2, 0.5, [v, 0], [0, 1], angle_nodes=4), "m_vec", False),
+    "un_avg_multiplier_c": (lambda v: un_avg_multiplier(2, 0.5, [1, 0], [0, v], angle_nodes=4), "c_vec", False),
+    "un_avg_multiplier_grid": (lambda v: un_avg_multiplier_grid(GridSpec(1, 3), v, angle_nodes=4), "r", True),
+    # the dimension of the psi functions is a count, refused with InvalidDimension
+    "psi_dimension": (lambda v: psi(v, 1.0), "dimension", True),
+    "psi0_dimension": (lambda v: psi0(v, 1.0), "dimension", True),
+    "psi_alternating_dimension": (lambda v: psi_alternating(v, 1.0), "dimension", True),
+}
+
+_BAD_REALS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True, "str": "1", "negative": -1}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry, (_, _, nonnegative) in _REAL_PARAMS.items()
+    for value in _BAD_REALS if nonnegative or value != "negative"])
+def test_real_parameters_share_one_rule(entry, value):
+    # one rule for every real parameter: a real number or real entries, not
+    # a bool or a string, finite, and >= its minimum where one applies;
+    # anything else is InvalidParams naming the parameter, never a NaN
+    # answer, a RuntimeWarning or a raw TypeError
+    call, name, _ = _REAL_PARAMS[entry]
+    error = InvalidDimension if entry.endswith("_dimension") else InvalidParams
+    with pytest.raises(error, match=name):
+        call(_BAD_REALS[value])
+
+
+def test_valid_real_parameters_keep_their_value_and_type():
+    assert SchemeSpec("un_avg", {"r": 1}).params["r"] == 1
+    assert type(SchemeSpec("un_avg", {"r": 1}).params["r"]) is int
+    assert type(SchemeSpec("t", {"t": np.float32(0.25)}).params["t"]) is np.float32
+    assert make_weight("polynomial", s=1).descriptor()["params"] == {"s": 1.0}
+    np.testing.assert_array_equal(as_matrix_param(np.int64(2), 2).entries, 2 * np.eye(2))
+    np.testing.assert_array_equal(as_matrix_param([[1, 2], [0, 1]], 2).entries, [[1, 2], [0, 1]])
+    assert psi(2, np.float64(0.0)) == psi(2, 0)
 
 
 def test_gaussian_window_normalized():

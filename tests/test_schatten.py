@@ -19,7 +19,7 @@ from psdo import (
     rank_one_symbol,
     symbol_transfer,
 )
-from psdo.errors import DimMismatch, InvalidExponent
+from psdo.errors import DimMismatch, InvalidExponent, InvalidParams
 
 
 def test_singular_values_examples():
@@ -163,3 +163,15 @@ def test_unitary_invariance(rng):
     T = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     for p in (1.0, 2.0, math.inf):
         assert schatten_norm(F @ T @ F.conj().T, p) == pytest.approx(schatten_norm(T, p), rel=1e-11)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_operator_is_refused_before_the_svd(bad):
+    # LAPACK's SVD does not converge on it, which once escaped as a raw
+    # numpy.linalg.LinAlgError
+    T = np.eye(3, dtype=complex)
+    T[0, 1] = bad
+    for run in (lambda: singular_values(T), lambda: schatten_norm(T, 2), lambda: duality_check(T, 2),
+                lambda: hoelder_check(T, np.eye(3), 2, 2)):
+        with pytest.raises(InvalidParams, match="non-finite"):
+            run()

@@ -255,6 +255,16 @@ def test_psi_non_finite_fails_fast(f, d, rho):
         f(d, rho)
 
 
+def test_sphere_average_refuses_an_overflowing_sum():
+    # e^800 overflows: this once warned and returned inf.  A sum that
+    # cannot overflow is still computed.
+    with pytest.raises(InvalidParams, match="rho"):
+        sphere_average_exp(800.0)
+    with pytest.raises(InvalidParams, match="rho"):
+        sphere_average_exp(-705.0, samples=1000)
+    assert math.isfinite(sphere_average_exp(700.0, samples=1))
+
+
 def test_scheme_spec_rejects_non_finite_r():
     for r in (math.nan, math.inf):
         with pytest.raises(InvalidParams):
