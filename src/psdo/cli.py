@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,7 +35,8 @@ OP_COMMANDS = ("quantize", "scheme", "wigner", "stft", "modnorm", "schatten", "c
 
 def _json_line(obj) -> str:
     """obj as one line of strict JSON, as verify's report is written: a NaN
-    or infinite result raises ValidationError before anything is written."""
+    or infinite result raises ValidationError before anything is written.
+    Echoes hold finite numbers only (see :func:`_exponent_echo`)."""
     try:
         return json.dumps(obj, allow_nan=False) + "\n"
     except ValueError:
@@ -114,6 +116,12 @@ def _exponent(params, key, default):
         raise InvalidExponent(f"parameter {key!r} must be a number, got {value!r}") from None
 
 
+def _exponent_echo(p: float):
+    """p as strict JSON: an infinite exponent is the string "inf", the
+    spelling :func:`psdo.modspace.as_exponent` reads."""
+    return "inf" if p == math.inf else p
+
+
 def _weight_from_descriptor(desc):
     if desc is None:
         return None
@@ -174,7 +182,8 @@ def _cmd_modnorm(args):
     p, q = _exponent(params, "p", 2), _exponent(params, "q", 2)
     omega = _weight_from_descriptor(params.get("weight")) or trivial_weight()
     value = modulation_norm(f, MixedNormParams(p, q), omega, phi)
-    return _write_scalar_result(out, value, {"p": p, "q": q, "weight": omega.descriptor()})
+    return _write_scalar_result(out, value, {"p": _exponent_echo(p), "q": _exponent_echo(q),
+                                             "weight": omega.descriptor()})
 
 
 def _cmd_schatten(args):
@@ -182,7 +191,7 @@ def _cmd_schatten(args):
     N = grid.size
     T = _load(inputs, "t", grid, (N, N))
     p = _exponent(params, "p", 2)
-    return _write_scalar_result(out, schatten_norm(T, p), {"p": p})
+    return _write_scalar_result(out, schatten_norm(T, p), {"p": _exponent_echo(p)})
 
 
 def _cmd_compose(args):

@@ -64,19 +64,33 @@ def _count(name: str, value, error=InvalidParams) -> int:
 def _real(name: str, value, minimum=None):
     """value, unchanged, if it is a real number or real entries (no bool or
     string), all finite and at least `minimum` if given; else InvalidParams
-    naming the parameter: the one rule for real parameters.  Only an array
-    that is not a numeric ndarray is scanned entry by entry."""
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf" or _is_real(value)
+    naming the parameter: the one rule for real parameters.  A number is
+    checked with math (numpy's 0-d calls cost several times as much), an
+    array with numpy; only an array that is not a numeric ndarray is
+    scanned entry by entry."""
+    number = _is_real(value)
+    if not (number or isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
             or all(map(_is_real, np.asarray(value, dtype=object).flat))):
         raise InvalidParams(f"{name} must be a real number or real entries, got {value!r}")
     try:
-        arr = np.asarray(value, dtype=float)
+        if number:
+            ok = math.isfinite(value) and (minimum is None or value >= minimum)
+        else:
+            arr = np.asarray(value, dtype=float)
+            ok = np.isfinite(arr).all() and (minimum is None or (arr >= minimum).all())
     except OverflowError:  # an int beyond the largest float
-        arr = np.inf
-    if not np.isfinite(arr).all() or minimum is not None and (arr < minimum).any():
+        ok = False
+    if not ok:
         bound = "" if minimum is None else f" and >= {minimum}"
         raise InvalidParams(f"{name} must be finite{bound}, got {value!r}")
     return value
+
+
+def _real_number(name: str, value, minimum=None):
+    """:func:`_real` for a parameter that is one number: entries are refused."""
+    if not _is_real(value):
+        raise InvalidParams(f"{name} must be a real number, got {value!r}")
+    return _real(name, value, minimum)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .errors import (
     TooFewEntries,
 )
 from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords, _BLOCK_ENTRIES, _is_real,
-                   _real)
+                   _real, _real_number)
 from .quantizer import as_matrix_param
 from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _column_budget, _stft_columns
 
@@ -247,9 +247,9 @@ class Weight:
 
 
 def _weight_param(kind, params, key, minimum=None):
-    """params[key] under the real-parameter rule, which refuses a missing
-    key (None) with InvalidParams naming it."""
-    return _real(f"{kind} weight parameter {key!r}", params.get(key), minimum)
+    """params[key], one real number, as a float; a missing key reaches the
+    rule as None, which it refuses naming the key."""
+    return float(_real_number(f"{kind} weight parameter {key!r}", params.get(key), minimum))
 
 
 def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
@@ -259,9 +259,9 @@ def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
         if a not in ("pos", "freq"):
             raise InvalidParams(f"axis kind must be 'pos' or 'freq', got {a!r}")
     if kind == "polynomial":
-        return Weight("polynomial", axes, (float(_weight_param(kind, params, "s")),))
+        return Weight("polynomial", axes, (_weight_param(kind, params, "s"),))
     if kind == "exponential":
-        c, s = float(_weight_param(kind, params, "c")), float(_weight_param(kind, params, "s", minimum=1))
+        c, s = _weight_param(kind, params, "c"), _weight_param(kind, params, "s", minimum=1)
         return Weight("exponential", axes, (c, s))
     if kind == "product":
         factors = params.get("factors")
@@ -271,7 +271,7 @@ def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
         w1, w2 = factors
         return Weight("product", w1.axes + w2.axes, (w1, w2))
     if kind == "custom":
-        samples = np.asarray(_weight_param(kind, params, "samples"), dtype=float)
+        samples = np.asarray(_real("custom weight parameter 'samples'", params.get("samples")), dtype=float)
         if not np.all(samples > 0):
             raise InvalidParams("custom weight samples must be strictly positive")
         return Weight("custom", axes, (samples,))

@@ -49,6 +49,7 @@ from .grid import (
     _fftn,
     _partial_dft_core,
     _real,
+    _real_number,
 )
 
 __all__ = [
@@ -87,7 +88,7 @@ class MatrixParam:
 
     @classmethod
     def scalar(cls, t: float, d: int) -> "MatrixParam":
-        return cls(_real("matrix parameter t", t) * np.eye(d))
+        return cls(_real_number("matrix parameter t", t) * np.eye(d))
 
     @classmethod
     def zero(cls, d: int) -> "MatrixParam":
@@ -115,7 +116,7 @@ def as_matrix_param(A, d: int) -> MatrixParam:
         return A
     entries = np.asarray(_real("matrix parameter A", A), dtype=float)
     if entries.ndim == 0:  # t, meaning t * I
-        return MatrixParam(entries * np.eye(d))
+        return MatrixParam.scalar(float(entries), d)
     if entries.size != d * d:
         raise InvalidParams(f"matrix parameter A must be a real number or {d}x{d} real entries, got {A!r}")
     return MatrixParam(entries.reshape(d, d))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
-from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES, _count, _real
+from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES, _count, _real, _real_number
 from .quantizer import MatrixParam, quantize, _kernel_formula, _quantize_average
 from .wigner import FOURD_LIMIT
 
@@ -59,7 +59,7 @@ class SchemeSpec:
         p = dict(self.params)
         for key, minimum in (("t", None), ("r", 0)):
             if key in p:
-                _real(f"scheme parameter {key!r}", p[key], minimum)
+                _real_number(f"scheme parameter {key!r}", p[key], minimum)
         for key in ("angle_nodes", "t_nodes"):
             if key in p:
                 _count(f"scheme parameter {key!r}", p[key])
@@ -250,7 +250,7 @@ def _psi_series(d: int, rho: float, signed: bool) -> float:
 
 def _check_psi_args(d, name, rho):
     _count("dimension d", d, InvalidDimension)
-    _real(name, rho, minimum=0)
+    _real_number(name, rho, minimum=0)
 
 
 def psi(d: int, rho: float) -> float:
@@ -319,7 +319,7 @@ def un_avg_multiplier_grid(grid, r: float, angle_nodes: int = 64) -> np.ndarray:
     Fourier grid: averaging Op_{rU + I/2} equals applying this to the
     two-block DFT and then quantizing at I/2.  The average runs over the
     nodes of :func:`_orthogonal_nodes`."""
-    _real("r", r, minimum=0)
+    _real_number("r", r, minimum=0)
     mats, wts = _orthogonal_nodes(grid.d, angle_nodes)
     reps = rep_coords(grid).astype(float)
     scaled = 2.0 * np.pi * reps / grid.n
@@ -333,7 +333,7 @@ def un_avg_multiplier(d: int, r: float, m_vec, c_vec, angle_nodes: int = 64) -> 
     """Haar average over U in O(d) of e^{i r <U m, c>} for real d-vectors,
     over the equal-weight nodes of :func:`_orthogonal_nodes` (at d=1 the
     exact two-point average cos(r m c))."""
-    _real("r", r, minimum=0)
+    _real_number("r", r, minimum=0)
     mats, wts = _orthogonal_nodes(d, angle_nodes)
     m_vec = np.atleast_1d(np.asarray(_real("m_vec", m_vec), dtype=float))
     c_vec = np.atleast_1d(np.asarray(_real("c_vec", c_vec), dtype=float))
@@ -350,7 +350,7 @@ def sphere_average_exp(rho: float, samples: int = 10**6, seed: int = 0) -> float
     integer >= 1, and rho finite and small enough that the sum cannot overflow.
     """
     samples = _count("samples", samples)
-    if abs(_real("rho", rho)) + math.log(samples) > math.log(np.finfo(float).max):
+    if abs(_real_number("rho", rho)) + math.log(samples) > math.log(np.finfo(float).max):
         raise InvalidParams(f"rho {rho!r} can overflow the sum of {samples} samples")
     total = 0.0
     for x in _stratified_angles(np.random.default_rng(seed), samples):

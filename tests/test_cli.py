@@ -8,6 +8,7 @@ from psdo import (GridSpec, MixedNormParams, SchemeSpec, Signal, Symbol, as_matr
                   symbol_transfer, wigner)
 from psdo.arrays import read_array, write_array
 from psdo.cli import OP_COMMANDS, build_parser, main
+from psdo.modspace import INF, trivial_weight
 
 
 def run_cli(capsys, *argv):
@@ -582,3 +583,26 @@ def test_a_non_finite_result_is_refused_before_anything_is_written(tmp_path, cap
         _write_array_result(str(tmp_path / "K.bin"), K)
     assert not out.exists() and not (tmp_path / "K.bin").exists()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, name, shape, params", [
+    ("schatten", "t", (9, 9), {"p": INF}),
+    ("modnorm", "f", (9,), {"p": INF, "q": INF}),
+])
+def test_an_infinite_exponent_is_echoed_as_inf(tmp_path, capsys, rng, command, name, shape, params):
+    # JSON has no infinity; 1e999 parses to one, and the echo spells it
+    # "inf", as the library's exponents do, so the output stays strict JSON
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    write_array(tmp_path / "x.bin", data, GridSpec(1, 9))
+    raw = json.dumps({k: 1.0 for k in params}).replace("1.0", "1e999")
+    code, stdout, err = run_cli(capsys, command, "-i", f"{name}={tmp_path}/x.bin", "--params", raw,
+                                "--out", str(tmp_path / "v.json"))
+    assert (code, err) == (0, "")
+    line = json.loads(stdout)
+    if command == "schatten":
+        assert line == {"value": schatten_norm(data, INF), "params_echo": {"p": "inf"}}
+    else:
+        f = Signal(GridSpec(1, 9), data)
+        want = modulation_norm(f, MixedNormParams(INF, INF), trivial_weight())
+        assert line["value"] == want and line["params_echo"]["p"] == line["params_echo"]["q"] == "inf"
+    assert (tmp_path / "v.json").read_text() == stdout

@@ -162,49 +162,51 @@ def test_frac_shift_reduces_a_huge_shift_exactly():
 _F = Signal.delta(GridSpec(2, 5))
 
 # entry point -> (call with the bad value, parameter named in the message,
-# whether the parameter must also be >= 0)
+# whether the parameter must also be >= 0, whether it is one number)
 _REAL_PARAMS = {
-    "frac_shift": (lambda v: frac_shift(_F, v), "shift", False),
-    "frac_shift_entry": (lambda v: frac_shift(_F, [0.5, v]), "shift", False),
-    "MatrixParam": (lambda v: MatrixParam(np.array([[v]])), "matrix parameter", False),
-    "MatrixParam_list": (lambda v: MatrixParam([[1.0, v], [0.0, 1.0]]), "matrix parameter", False),
-    "MatrixParam.scalar": (lambda v: MatrixParam.scalar(v, 2), "matrix parameter t", False),
-    "as_matrix_param": (lambda v: as_matrix_param(v, 1), "matrix parameter A", False),
-    "as_matrix_param_entry": (lambda v: as_matrix_param([[0.5, v], [0, 1]], 2), "matrix parameter A", False),
-    "polynomial_s": (lambda v: make_weight("polynomial", s=v), "'s'", False),
-    "exponential_c": (lambda v: make_weight("exponential", c=v, s=1), "'c'", False),
-    "exponential_s": (lambda v: make_weight("exponential", c=1, s=v), "'s'", True),
-    "custom_samples": (lambda v: make_weight("custom", samples=[[1.0, v], [1.0, 1.0]]), "'samples'", False),
-    "scheme_t": (lambda v: SchemeSpec("t", {"t": v}), "'t'", False),
-    "scheme_r": (lambda v: SchemeSpec("un_avg", {"r": v}), "'r'", True),
-    "scheme_time_r": (lambda v: SchemeSpec("un_avg_time", {"r": v}), "'r'", True),
-    "psi_d1": (lambda v: psi(1, v), "rho", True),
-    "psi_d2": (lambda v: psi(2, v), "rho", True),
-    "psi_alternating": (lambda v: psi_alternating(2, v), "rho", True),
-    "psi0": (lambda v: psi0(2, v), "r", True),
-    "sphere_average_exp": (lambda v: sphere_average_exp(v, samples=10), "rho", False),
-    "un_avg_multiplier_r": (lambda v: un_avg_multiplier(2, v, [1, 0], [0, 1], angle_nodes=4), "r", True),
-    "un_avg_multiplier_m": (lambda v: un_avg_multiplier(2, 0.5, [v, 0], [0, 1], angle_nodes=4), "m_vec", False),
-    "un_avg_multiplier_c": (lambda v: un_avg_multiplier(2, 0.5, [1, 0], [0, v], angle_nodes=4), "c_vec", False),
-    "un_avg_multiplier_grid": (lambda v: un_avg_multiplier_grid(GridSpec(1, 3), v, angle_nodes=4), "r", True),
+    "frac_shift": (lambda v: frac_shift(_F, v), "shift", False, False),
+    "frac_shift_entry": (lambda v: frac_shift(_F, [0.5, v]), "shift", False, False),
+    "MatrixParam": (lambda v: MatrixParam(np.array([[v]])), "matrix parameter", False, False),
+    "MatrixParam_list": (lambda v: MatrixParam([[1.0, v], [0.0, 1.0]]), "matrix parameter", False, False),
+    "MatrixParam.scalar": (lambda v: MatrixParam.scalar(v, 2), "matrix parameter t", False, True),
+    "as_matrix_param": (lambda v: as_matrix_param(v, 1), "matrix parameter A", False, False),
+    "as_matrix_param_entry": (lambda v: as_matrix_param([[0.5, v], [0, 1]], 2), "matrix parameter A", False, False),
+    "polynomial_s": (lambda v: make_weight("polynomial", s=v), "'s'", False, True),
+    "exponential_c": (lambda v: make_weight("exponential", c=v, s=1), "'c'", False, True),
+    "exponential_s": (lambda v: make_weight("exponential", c=1, s=v), "'s'", True, True),
+    "custom_samples": (lambda v: make_weight("custom", samples=[[1.0, v], [1.0, 1.0]]), "'samples'", False, False),
+    "scheme_t": (lambda v: SchemeSpec("t", {"t": v}), "'t'", False, True),
+    "scheme_r": (lambda v: SchemeSpec("un_avg", {"r": v}), "'r'", True, True),
+    "scheme_time_r": (lambda v: SchemeSpec("un_avg_time", {"r": v}), "'r'", True, True),
+    "psi_d1": (lambda v: psi(1, v), "rho", True, True),
+    "psi_d2": (lambda v: psi(2, v), "rho", True, True),
+    "psi_alternating": (lambda v: psi_alternating(2, v), "rho", True, True),
+    "psi0": (lambda v: psi0(2, v), "r", True, True),
+    "sphere_average_exp": (lambda v: sphere_average_exp(v, samples=10), "rho", False, True),
+    "un_avg_multiplier_r": (lambda v: un_avg_multiplier(2, v, [1, 0], [0, 1], angle_nodes=4), "r", True, True),
+    "un_avg_multiplier_m": (lambda v: un_avg_multiplier(2, 0.5, [v, 0], [0, 1], angle_nodes=4), "m_vec", False, False),
+    "un_avg_multiplier_c": (lambda v: un_avg_multiplier(2, 0.5, [1, 0], [0, v], angle_nodes=4), "c_vec", False, False),
+    "un_avg_multiplier_grid": (lambda v: un_avg_multiplier_grid(GridSpec(1, 3), v, angle_nodes=4), "r", True, True),
     # the dimension of the psi functions is a count, refused with InvalidDimension
-    "psi_dimension": (lambda v: psi(v, 1.0), "dimension", True),
-    "psi0_dimension": (lambda v: psi0(v, 1.0), "dimension", True),
-    "psi_alternating_dimension": (lambda v: psi_alternating(v, 1.0), "dimension", True),
+    "psi_dimension": (lambda v: psi(v, 1.0), "dimension", True, True),
+    "psi0_dimension": (lambda v: psi0(v, 1.0), "dimension", True, True),
+    "psi_alternating_dimension": (lambda v: psi_alternating(v, 1.0), "dimension", True, True),
 }
 
-_BAD_REALS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True, "str": "1", "negative": -1}
+_BAD_REALS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True, "str": "1", "negative": -1,
+              "list": [1.0]}
 
 
 @pytest.mark.parametrize("entry, value", [
-    (entry, value) for entry, (_, _, nonnegative) in _REAL_PARAMS.items()
-    for value in _BAD_REALS if nonnegative or value != "negative"])
+    (entry, value) for entry, (_, _, nonnegative, one_number) in _REAL_PARAMS.items()
+    for value in _BAD_REALS if (nonnegative or value != "negative") and (one_number or value != "list")])
 def test_real_parameters_share_one_rule(entry, value):
-    # one rule for every real parameter: a real number or real entries, not
-    # a bool or a string, finite, and >= its minimum where one applies;
+    # one rule for every real parameter: a real number (or real entries,
+    # where the parameter is not one number), not a bool or a string,
+    # finite, and >= its minimum where one applies;
     # anything else is InvalidParams naming the parameter, never a NaN
     # answer, a RuntimeWarning or a raw TypeError
-    call, name, _ = _REAL_PARAMS[entry]
+    call, name, _, _ = _REAL_PARAMS[entry]
     error = InvalidDimension if entry.endswith("_dimension") else InvalidParams
     with pytest.raises(error, match=name):
         call(_BAD_REALS[value])
