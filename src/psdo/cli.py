@@ -21,7 +21,7 @@ from .arrays import read_array, write_array
 from .bench import format_csv, run_bench, scaling_note
 from .calculus import sharp
 from .errors import InvalidExponent, PsdoError, ValidationError
-from .grid import GridSpec, Signal, Symbol
+from .grid import GridSpec, Signal, Symbol, _row_blocks
 from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm, _numeric_exponent
 from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_transfer
 from .schatten import schatten_norm
@@ -143,9 +143,18 @@ def _cmd_quantize(args):
     if not isinstance(route, str) or route not in routes:
         raise ValidationError(f"route must be 'kernel' or 'multiplier', got {route!r}")
     K = routes[route](a, as_matrix_param(params.get("A", 0.0), grid.d))
-    D = np.conjugate(K.data.T, order="C")
-    np.subtract(K.data, D, out=D)
-    return _write_array_result(out, K, hermiticity_defect=float(np.abs(D).max()), route=route)
+    return _write_array_result(out, K, hermiticity_defect=_hermiticity_defect(K.data), route=route)
+
+
+def _hermiticity_defect(K) -> float:
+    """max |K - K^*| of a square array, one block of rows at a time: the max
+    is exact (a NaN stays NaN) and no N x N copy of K^* is made."""
+    maxima = []
+    for rows in _row_blocks(len(K)):
+        D = np.conjugate(K[:, rows].T, order="C")
+        np.subtract(K[rows], D, out=D)
+        maxima.append(np.abs(D).max())
+    return float(np.max(maxima))
 
 
 def _cmd_scheme(args):

@@ -12,8 +12,9 @@ Conventions fixed here and relied on everywhere else:
 * every FFT writes into a C-contiguous buffer owned by the function that
   runs it: the first pass writes into a fresh ``np.empty`` array (never
   into the caller's array, which a ``Symbol`` or ``Signal`` may share with
-  its caller), and every later FFT pass, scale and phase works in place on
-  that buffer.
+  its caller), and every later FFT pass, scale, phase and gather works in
+  place on that buffer, so a kernel-formula call returns the one N x N
+  buffer it computed in.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ def _count(name: str, value, error=InvalidParams) -> int:
     return int(value)
 
 
+def _real_entries(value) -> bool:
+    """value lays out as an array of real numbers (no bool or string)."""
+    try:
+        entries = np.asarray(value, dtype=object)
+    except ValueError:  # ragged arrays, which numpy cannot lay out
+        return False
+    return all(map(_is_real, entries.flat))
+
+
 def _real(name: str, value, minimum=None):
     """value, unchanged, if it is a real number or real entries (no bool or
     string), all finite and at least `minimum` if given; else InvalidParams
@@ -69,8 +79,7 @@ def _real(name: str, value, minimum=None):
     array with numpy; only an array that is not a numeric ndarray is
     scanned entry by entry."""
     number = _is_real(value)
-    if not (number or isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
-            or all(map(_is_real, np.asarray(value, dtype=object).flat))):
+    if not (number or isinstance(value, np.ndarray) and value.dtype.kind in "iuf" or _real_entries(value)):
         raise InvalidParams(f"{name} must be a real number or real entries, got {value!r}")
     try:
         if number:
@@ -188,13 +197,21 @@ class OperatorMatrix(_GridArray):
 CACHE_SIZE = 32
 
 # entries per block of every streamed evaluation: the frequency columns of
-# the phase-space STFT, the tuples of the weight-condition estimators and the
-# jittered angles of the stratified samplers; peak memory then does not grow
-# with the sample count.  At 2^14 entries a freed block stays in the malloc
-# heap and the next block reuses it; 2^16-entry (1 MiB) blocks freed more
-# than glibc's trim threshold at once, so each went back to the OS and was
-# faulted in again
+# the phase-space STFT, the tuples of the weight-condition estimators, the
+# jittered angles of the stratified samplers, and the row blocks of the
+# kernel formula's gather and dense phase; peak memory then does not grow
+# with the sample count, and an N x N result needs no second N x N buffer.
+# At 2^14 entries a freed block stays in the malloc heap and the next block
+# reuses it; 2^16-entry (1 MiB) blocks freed more than glibc's trim
+# threshold at once, so each went back to the OS and was faulted in again
 _BLOCK_ENTRIES = 2**14
+
+
+def _row_blocks(N: int):
+    """Slices of consecutive rows of an (N, N) array, each of at most
+    _BLOCK_ENTRIES entries (one row where a row is longer)."""
+    step = max(1, _BLOCK_ENTRIES // N)
+    return (slice(start, start + step) for start in range(0, N, step))
 
 
 def rep(k: int, n: int) -> int:
@@ -316,7 +333,10 @@ def frac_shift(f: Signal, s) -> Signal:
     """
     grid = f.grid
     n = grid.n
-    s = np.fmod(np.broadcast_to(np.asarray(_real("shift", s), dtype=float), (grid.d,)), n)
+    shift = np.asarray(_real("shift", s), dtype=float)
+    if shift.shape not in ((), (1,), (grid.d,)):
+        raise InvalidParams(f"shift must be a real number or {grid.d} real entries, got {s!r}")
+    s = np.fmod(np.broadcast_to(shift, (grid.d,)), n)
     fhat = _fftn(f.data.reshape(grid.shape))
     for axis in range(grid.d):
         shape = [1] * grid.d

@@ -18,16 +18,19 @@ displacement A u taken at the centered representative of u; for integer
 A this is the exact cyclic shift.
 
 Production :func:`quantize` and :func:`dequantize` run the kernel formula
-in 3 FFT passes (1 at A = 0 mod n), all on one buffer, with the phase applied as
-one broadcast table per row of A.  The averaged schemes (Born-Jordan and
-the orthogonal-group averages in :mod:`psdo.schemes`) are weighted sums
-of Op_A over a family of A; Op_A is linear in its phase, so each runs the
-same kernel formula once, in 3 FFT passes, with one averaged phase table
-(``_quantize_average`` sums the row tables of its nodes; Born-Jordan's
-exact t-average is a lookup).  :func:`kernel_route` evaluates the same
-formula with a dense N x N phase and unitary partial DFTs, which checks the
-factored phase.  The independent oracle is :func:`multiplier_route`,
-Op_0(T_A a) = ``quantize(symbol_transfer(a, A), 0)``.
+in 3 FFT passes (1 at A = 0 mod n), all on one buffer, with the phase
+applied as one broadcast table per row of A; quantize then gathers
+K[j, j - u] = G[j, u] in place, one block of rows at a time, and returns
+that buffer.  The averaged schemes (Born-Jordan and the orthogonal-group
+averages in :mod:`psdo.schemes`) are weighted sums of Op_A over a family
+of A; Op_A is linear in its phase, so each runs the same kernel formula
+once, in 3 FFT passes, with one averaged phase table (``_quantize_average``
+sums the row tables of its nodes; Born-Jordan's exact t-average is a
+lookup).  :func:`kernel_route` evaluates the same formula with a dense
+N x N phase, built one block of rows at a time, and unitary partial DFTs,
+all on one buffer, which checks the factored phase.  The independent
+oracle is :func:`multiplier_route`, Op_0(T_A a) =
+``quantize(symbol_transfer(a, A), 0)``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .grid import (
     _partial_dft_core,
     _real,
     _real_number,
+    _row_blocks,
 )
 
 __all__ = [
@@ -217,18 +221,31 @@ def symbol_transfer(a: Symbol, A) -> Symbol:
     return Symbol(grid, np.fft.ifftn(ahat, out=ahat).reshape(a.data.shape))
 
 
+def _to_kernel(G: np.ndarray, grid: GridSpec) -> OperatorMatrix:
+    """The kernel K[j, j - u] = G[j, u], written over G, an (N, N) array
+    the caller owns, and returned.  Row j of K is row j of G permuted,
+    K[j, j'] = G[j, j - j'], so the rows are gathered one block of at most
+    ``_BLOCK_ENTRIES`` entries at a time, from a copy of that block."""
+    N = grid.size
+    rel = rel_index(grid)
+    for rows in _row_blocks(N):
+        block = G[rows]
+        flat = rel[rows] + N * np.arange(len(block))[:, None]
+        # indices are in range; mode "raise" would buffer the output
+        np.take(block.copy(), flat, out=block, mode="clip")
+    return OperatorMatrix(grid, G)
+
+
 def _kernel_formula(a: Symbol, tables) -> OperatorMatrix:
     """K[j, j - u] = G[j, u] for G = n^{-d/2} F2^{-1} a (one raw inverse FFT
     over the frequency block) with the block-1 DFT of G multiplied by each
     phase table over (k, u) in ``tables``: 3 FFT passes, 1 without a
-    table, and 1 scatter."""
+    table, and the gather, all in the one N x N buffer it returns."""
     grid = a.grid
     freq = _block_axes(grid.d, 2)
     G = _fftn(a.data.reshape((grid.n,) * (2 * grid.d)), freq, inverse=True)
     _translate_columns(G, grid, tables)
-    K = np.empty(a.data.shape, dtype=np.complex128)
-    np.put_along_axis(K, rel_index(grid), G.reshape(K.shape), axis=1)
-    return OperatorMatrix(grid, K)
+    return _to_kernel(G.reshape(a.data.shape), grid)
 
 
 def quantize(a: Symbol, A) -> OperatorMatrix:
@@ -247,7 +264,7 @@ def quantize(a: Symbol, A) -> OperatorMatrix:
 def _quantize_average(a: Symbol, params, weights) -> OperatorMatrix:
     """sum_i w_i Op_{A_i}(a) for MatrixParams A_i in one kernel pass.  Op_A
     is linear in its phase, so the sum is the kernel formula with the one
-    averaged table of :func:`_average_table`: 3 FFT passes and 1 scatter
+    averaged table of :func:`_average_table`: 3 FFT passes and the gather
     whatever the number of nodes.  Every A_i is checked against the grid's
     mode before any FFT runs."""
     grid = a.grid
@@ -265,25 +282,31 @@ def multiplier_route(a: Symbol, A) -> OperatorMatrix:
 def kernel_route(a: Symbol, A) -> OperatorMatrix:
     """Op_A(a) through the kernel formula with a dense N x N phase and
     unitary partial DFTs: the formula of :func:`quantize` evaluated without
-    its factored phase or raw FFT passes, to cross-check them.  It agrees
-    with :func:`quantize` to fp roundoff.
+    its factored phase tables or unscaled FFT passes, to cross-check them.
+    It agrees with :func:`quantize` to fp roundoff.
 
     Column u of G = n^{-d/2} F2^{-1} a is translated by A rep(u) through
     trigonometric interpolation over the position block (DFT, phase
     e^{-2i pi <rep k, A rep u>/n}, inverse DFT), exact for integer A, and
-    scattered to K[j, j - u].
+    gathered to K[j, j - u].  Every DFT, scale, phase and the gather after
+    the first DFT run in place on that DFT's buffer, which is returned; the
+    phase is built from ``rep_coords`` one block of rows at a time.
     """
     grid = a.grid
     A = _grid_param(grid, A)
+    root = np.sqrt(grid.size)
+    pos = _block_axes(grid.d, 1)
     G = _partial_dft_core(a.data, grid, 2, inverse=True)
-    G /= np.sqrt(grid.size)
+    G /= root
+    G4 = G.reshape((grid.n,) * (2 * grid.d))
+    np.fft.fftn(G4, axes=pos, out=G4)
+    G /= root
     reps = rep_coords(grid).astype(float)
-    Ghat = _partial_dft_core(G, grid, 1)
-    Ghat *= np.exp(-2j * np.pi * np.einsum("ki,ij,uj->ku", reps, A.entries, reps) / grid.n)
-    cols = _partial_dft_core(Ghat, grid, 1, inverse=True)
-    K = np.empty_like(cols)
-    np.put_along_axis(K, rel_index(grid), cols, axis=1)
-    return OperatorMatrix(grid, K)
+    for rows in _row_blocks(grid.size):
+        G[rows] *= np.exp(-2j * np.pi * np.einsum("ki,ij,uj->ku", reps[rows], A.entries, reps) / grid.n)
+    np.fft.ifftn(G4, axes=pos, out=G4)
+    G *= root
+    return _to_kernel(G, grid)
 
 
 def dequantize(T: OperatorMatrix, A) -> Symbol:

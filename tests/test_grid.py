@@ -212,6 +212,27 @@ def test_real_parameters_share_one_rule(entry, value):
         call(_BAD_REALS[value])
 
 
+_RAGGED = [np.zeros((2, 2)), np.zeros(2)]
+
+# entry point -> (call with a parameter numpy cannot lay out or broadcast,
+# parameter named in the message)
+_BAD_SHAPES = {
+    "frac_shift_length": (lambda: frac_shift(_F, [1.0, 2.0, 3.0]), "shift"),
+    "frac_shift_row": (lambda: frac_shift(_F, [[1.0, 2.0]]), "shift"),
+    "frac_shift_ragged": (lambda: frac_shift(_F, _RAGGED), "shift"),
+    "MatrixParam_ragged": (lambda: MatrixParam(_RAGGED), "matrix parameter"),
+    "as_matrix_param_ragged": (lambda: as_matrix_param(_RAGGED, 2), "matrix parameter A"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_BAD_SHAPES))
+def test_parameter_shapes_are_refused_by_name(entry):
+    # InvalidParams naming the parameter, never numpy's raw ValueError
+    call, name = _BAD_SHAPES[entry]
+    with pytest.raises(InvalidParams, match=name):
+        call()
+
+
 def test_valid_real_parameters_keep_their_value_and_type():
     assert SchemeSpec("un_avg", {"r": 1}).params["r"] == 1
     assert type(SchemeSpec("un_avg", {"r": 1}).params["r"]) is int

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,8 @@ from psdo import (
     expop_stft_check,
     stft_of_wigner_check,
 )
+import psdo.grid
+from psdo.cli import _hermiticity_defect
 from psdo.quantizer import MatrixParam, as_matrix_param
 from psdo.errors import ModeMismatch, InvalidParams
 
@@ -199,6 +202,27 @@ def test_kernel_route_constant_symbol(grid9):
     np.testing.assert_allclose(K, np.eye(9), atol=1e-13)
 
 
+@pytest.mark.parametrize("entries", [1, 7 * 25])
+def test_row_blocks_leave_every_bit_unchanged(monkeypatch, rng, entries):
+    # the gather, kernel_route's phase and the CLI's hermiticity defect run
+    # over blocks of rows; one row per block (the layout of every grid with
+    # N > grid._BLOCK_ENTRIES) and a short last block give the bits of one
+    # block over all N = 25 rows
+    g = GridSpec(2, 5)
+    a = Symbol.random(g, rng)
+    A = [[0.3, -0.7], [0.25, 0.5]]
+
+    def results():
+        K = quantize(a, A).data
+        return [K, kernel_route(a, A).data, quantize_scheme(a, SchemeSpec("born_jordan", {})).data,
+                np.float64(_hermiticity_defect(K))]
+
+    one_block = results()
+    monkeypatch.setattr(psdo.grid, "_BLOCK_ENTRIES", entries)
+    for blocked, whole in zip(results(), one_block):
+        assert blocked.tobytes() == whole.tobytes()
+
+
 def test_dequantize_identity_and_diagonal(grid9):
     a = dequantize(OperatorMatrix.identity(grid9), 0.37).data
     np.testing.assert_allclose(a, np.ones((9, 9)), atol=1e-13)
@@ -346,11 +370,13 @@ def test_averaged_schemes_fft_passes(fft_calls, rng, spec):
 
 
 @pytest.mark.parametrize("mode, A", [("real", [[0.3, -0.7], [0.25, 0.5]]),
-                                     ("mod", [[1, 2], [-3, 1]])])
+                                     ("mod", [[1, 2], [-3, 1]]),
+                                     ("real", 0.0)])
 def test_transforms_leave_their_inputs_untouched(rng, mode, A):
     # every FFT writes into a buffer of its own; Symbol, Signal and
     # OperatorMatrix share the caller's array, so a pass that wrote into
-    # its input would change the caller's data
+    # its input would change the caller's data.  At A = 0 quantize runs one
+    # FFT pass and gathers in place on that pass's own buffer
     g = GridSpec(2, 5, mode)
     N = g.size
     owned = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(3)]
@@ -398,3 +424,39 @@ def test_quantize_d3_dense_matrix(rng, mode, A):
         assert np.abs(other(a, A).data - K).max() <= 1e-12 * a.norm(), other.__name__
     back = dequantize(OperatorMatrix(g, K), A)
     assert np.abs(back.data - a.data).max() <= 1e-12 * a.norm()
+
+
+_A2 = [[0.3, -0.7], [0.25, 0.5]]
+
+# traced peak of one call at d=2, n=15, in N x N complex buffers (N = 225,
+# 810 KB each), rounded up from the measured peak: a kernel-formula call
+# computes its result in the one buffer it returns, beside its phase tables
+# and one gather block of grid._BLOCK_ENTRIES entries, so a second N x N
+# buffer for the gather, or kernel_route's dense phase built whole, fails
+_PEAK_BUFFERS = {
+    "quantize": (lambda a, T: quantize(a, _A2), 1.7),
+    "quantize_zero": (lambda a, T: quantize(a, 0.0), 1.5),
+    "kernel_route": (lambda a, T: kernel_route(a, _A2), 1.7),
+    "born_jordan": (lambda a, T: quantize_scheme(a, SchemeSpec("born_jordan", {})), 2.5),
+    "un_avg": (lambda a, T: quantize_scheme(a, SchemeSpec("un_avg", {"r": 0.5, "angle_nodes": 4})), 3.5),
+    "un_avg_time": (lambda a, T: quantize_scheme(
+        a, SchemeSpec("un_avg_time", {"r": 0.5, "t_nodes": 3, "angle_nodes": 4})), 3.5),
+    "dequantize": (lambda a, T: dequantize(T, _A2), 1.3),
+    "symbol_transfer": (lambda a, T: symbol_transfer(a, _A2), 1.3),
+}
+
+
+@pytest.mark.parametrize("op", list(_PEAK_BUFFERS))
+def test_traced_peak_per_call(rng, op):
+    call, bound = _PEAK_BUFFERS[op]
+    g = GridSpec(2, 15)
+    a = Symbol.random(g, rng)
+    T = OperatorMatrix(g, a.data.copy())
+    call(a, T)  # warm-up: index caches
+    tracemalloc.start()
+    try:
+        call(a, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * g.size**2) <= bound
