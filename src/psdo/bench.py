@@ -15,14 +15,14 @@ from .schatten import singular_values
 __all__ = ["run_bench", "format_csv"]
 
 
-def _time_ns(fn, repeats=3) -> int:
-    best = None
-    for _ in range(repeats):
+def _time_ns(fn) -> int:
+    """Best wall time of fn over at least 3 runs and 20 ms, so one load spike cannot set it."""
+    times = []
+    while len(times) < 3 or sum(times) < 20_000_000:
         t0 = time.perf_counter_ns()
         fn()
-        dt = time.perf_counter_ns() - t0
-        best = dt if best is None else min(best, dt)
-    return best
+        times.append(time.perf_counter_ns() - t0)
+    return min(times)
 
 
 def run_bench(sizes, d: int, seed: int = 0) -> list:

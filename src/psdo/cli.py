@@ -21,7 +21,7 @@ from .arrays import read_array, write_array
 from .bench import format_csv, run_bench, scaling_note
 from .calculus import sharp
 from .errors import InvalidExponent, PsdoError, ValidationError
-from .grid import GridSpec, Signal, Symbol, _row_blocks
+from .grid import GridSpec, Signal, Symbol, _blocks
 from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm, _numeric_exponent
 from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_transfer
 from .schatten import schatten_norm
@@ -150,7 +150,7 @@ def _hermiticity_defect(K) -> float:
     """max |K - K^*| of a square array, one block of rows at a time: the max
     is exact (a NaN stays NaN) and no N x N copy of K^* is made."""
     maxima = []
-    for rows in _row_blocks(len(K)):
+    for rows in _blocks(len(K), len(K)):
         D = np.conjugate(K[:, rows].T, order="C")
         np.subtract(K[rows], D, out=D)
         maxima.append(np.abs(D).max())

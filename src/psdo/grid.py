@@ -196,22 +196,22 @@ class OperatorMatrix(_GridArray):
 # grids whose index tables stay cached, per table kind
 CACHE_SIZE = 32
 
-# entries per block of every streamed evaluation: the frequency columns of
-# the phase-space STFT, the tuples of the weight-condition estimators, the
-# jittered angles of the stratified samplers, and the row blocks of the
-# kernel formula's gather and dense phase; peak memory then does not grow
-# with the sample count, and an N x N result needs no second N x N buffer.
-# At 2^14 entries a freed block stays in the malloc heap and the next block
-# reuses it; 2^16-entry (1 MiB) blocks freed more than glibc's trim
-# threshold at once, so each went back to the OS and was faulted in again
+# entries per block of every streamed evaluation, all split by _blocks: STFT
+# frequency columns, weight-estimator tuples and grid samples, stratified
+# angles, and the rows of the kernel gather, dense phase and CLI hermiticity
+# defect; peak memory then does not grow with the item count, and an N x N
+# result needs no second N x N buffer.  At 2^14 entries a freed block stays
+# in the malloc heap and the next block reuses it; 2^16-entry (1 MiB) blocks
+# freed more than glibc's trim threshold at once, so each went back to the
+# OS and was faulted in again
 _BLOCK_ENTRIES = 2**14
 
 
-def _row_blocks(N: int):
-    """Slices of consecutive rows of an (N, N) array, each of at most
-    _BLOCK_ENTRIES entries (one row where a row is longer)."""
-    step = max(1, _BLOCK_ENTRIES // N)
-    return (slice(start, start + step) for start in range(0, N, step))
+def _blocks(count: int, width: int = 1):
+    """Slices of consecutive items of range(count), each of at most
+    _BLOCK_ENTRIES entries at `width` per item (one item where it is wider)."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def rep(k: int, n: int) -> int:

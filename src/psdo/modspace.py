@@ -30,8 +30,8 @@ from .errors import (
     SizeLimit,
     TooFewEntries,
 )
-from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_coords, _BLOCK_ENTRIES, _is_real,
-                   _real, _real_number)
+from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_axis, _blocks, _is_real, _real,
+                   _real_number)
 from .quantizer import as_matrix_param
 from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _column_budget, _stft_columns
 
@@ -73,8 +73,8 @@ KERNEL_AXES = ("pos", "pos", "freq", "freq")  # kernel phase space (x, y, xi, et
 
 # The weight-condition estimators take the worst constant over every tuple
 # of phase-space points when there are at most PAIR_LIMIT tuples, and over
-# PAIR_SAMPLES fixed-seed random tuples otherwise, evaluated in blocks of
-# at most grid._BLOCK_ENTRIES point coordinates.
+# PAIR_SAMPLES fixed-seed random tuples otherwise, evaluated in the blocks
+# of grid._blocks, one point coordinate per entry.
 PAIR_LIMIT = 10**6
 PAIR_SAMPLES = 10**5
 
@@ -209,16 +209,20 @@ class Weight:
         raise DomainMismatch(f"weight kind {self.kind!r} cannot be evaluated off-grid")
 
     def sample(self, grid: GridSpec) -> np.ndarray:
-        """Values on the full grid, shape (N,)*len(axes)."""
+        """Values on the full grid, shape (N,)*len(axes), evaluated in the
+        blocks of grid._blocks, one entry per point coordinate."""
+        shape = (grid.size,) * len(self.axes)
         if self.kind == "custom":
             (samples,) = self.params
-            want = (grid.size,) * len(self.axes)
-            if samples.shape != want:
-                raise DomainMismatch(f"custom weight has shape {samples.shape}, grid needs {want}")
+            if samples.shape != shape:
+                raise DomainMismatch(f"custom weight has shape {samples.shape}, grid needs {shape}")
             return samples
         if self.trivial:
-            return np.ones((grid.size,) * len(self.axes))
-        return self.evaluate(block_coords(grid, self.axes))
+            return np.ones(shape)
+        out = np.empty(math.prod(shape))
+        for rows in _blocks(out.size, len(self.axes) * grid.d):
+            out[rows] = self.evaluate(_points(grid, self.axes, np.arange(rows.start, rows.stop)))
+        return out.reshape(shape)
 
     def inverse(self) -> "Weight":
         if self.kind == "polynomial":
@@ -286,25 +290,17 @@ def axis_scale(grid: GridSpec, axis_kind: str) -> float:
     return 1.0 if axis_kind == "pos" else 2.0 * np.pi / grid.n
 
 
-def block_coords(grid: GridSpec, axes) -> np.ndarray:
-    """Physical coordinates of every grid point of the stacked domain.
-
-    Shape (N,)*len(axes) + (len(axes)*d,): block b contributes the scaled
-    centered representatives of its flat index.
-    """
-    m = len(axes)
-    N, d = grid.size, grid.d
-    reps = rep_coords(grid).astype(float)
-    out = np.empty((N,) * m + (m * d,))
-    for b, kind in enumerate(axes):
-        shape = [1] * m + [d]
-        shape[b] = N
-        out[..., b * d : (b + 1) * d] = (axis_scale(grid, kind) * reps).reshape(shape)
+def _points(grid: GridSpec, axes, flat) -> np.ndarray:
+    """Physical coordinates of the points with flat indices `flat` on the
+    stacked domain of `axes`, shape flat.shape + (len(axes)*d,).  N = n^d,
+    so coordinate c is the scaled centered representative of digit c of the
+    flat index in base n (row-major).  Only the points asked for are built."""
+    scales = [axis_scale(grid, kind) for kind in axes for _ in range(grid.d)]
+    reps = rep_axis(grid.n).astype(float)
+    out = np.empty(flat.shape + (len(scales),))
+    for c, (scale, digit) in enumerate(zip(scales, np.unravel_index(flat, (grid.n,) * len(scales)))):
+        out[..., c] = (scale * reps)[digit]
     return out
-
-
-def _flat_domain_points(grid: GridSpec, axes) -> np.ndarray:
-    return block_coords(grid, axes).reshape(-1, len(axes) * grid.d)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +318,7 @@ def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
     if grid.size ** (2 * len(omega.axes)) > PAIR_LIMIT:
         return _worst(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y))
                       for X, Y in _tuple_chunks(grid, omega.axes, 2))
-    X = _flat_domain_points(grid, omega.axes)
+    X = _points(grid, omega.axes, np.arange(grid.size ** len(omega.axes)))
     wX = omega.evaluate(X)
     vX = v.evaluate(X)
     return _worst(omega.evaluate(X[i] + X) / (wX[i] * vX) for i in range(X.shape[0]))
@@ -410,8 +406,8 @@ def _column_weights(omega: Weight, grid: GridSpec, k: np.ndarray) -> np.ndarray:
     N = grid.size
     if omega.kind == "custom":
         return omega.sample(grid).reshape(N * N, N * N)[:, k].T
-    X = block_coords(grid, omega.axes[:2]).reshape(1, N * N, -1)
-    Y = block_coords(grid, omega.axes[2:]).reshape(N * N, 1, -1)[k]
+    X = _points(grid, omega.axes[:2], np.arange(N * N))[None]
+    Y = _points(grid, omega.axes[2:], k)[:, None]
     return omega.evaluate(np.concatenate(np.broadcast_arrays(X, Y), axis=-1))
 
 
@@ -524,23 +520,23 @@ def _require_axes(axes, *weights):
 
 def _tuple_chunks(grid, axes, blocks, seed=0):
     """Chunks of tuples, each a list of `blocks` arrays of physical points
-    on the `axes` domain, with at most _BLOCK_ENTRIES coordinates in all.
-    Their rows run, in row-major order, over every tuple (at most PAIR_LIMIT
-    of them) or over PAIR_SAMPLES random tuples, whose indices are all drawn
-    with `seed` before the first chunk."""
-    P = _flat_domain_points(grid, axes)
-    count = P.shape[0]
+    on the `axes` domain, split by grid._blocks with one entry per point
+    coordinate; only the points of the chunk yielded are built.  Their rows
+    run, in row-major order, over every tuple (at most PAIR_LIMIT of them)
+    or over PAIR_SAMPLES random tuples, whose flat point indices are all
+    drawn with `seed` before the first chunk."""
+    count = grid.size ** len(axes)
     total = count**blocks
-    rows = max(1, _BLOCK_ENTRIES // (blocks * P.shape[1]))
+    width = blocks * len(axes) * grid.d
     if total > PAIR_LIMIT:
         rng = np.random.default_rng(seed)
         picks = [rng.integers(0, count, size=PAIR_SAMPLES) for _ in range(blocks)]
-        for start in range(0, PAIR_SAMPLES, rows):
-            yield [P[i[start:start + rows]] for i in picks]
+        for rows in _blocks(PAIR_SAMPLES, width):
+            yield [_points(grid, axes, i[rows]) for i in picks]
         return
-    for start in range(0, total, rows):
-        flat = np.arange(start, min(start + rows, total))
-        yield [P[i] for i in np.unravel_index(flat, (count,) * blocks)]
+    for rows in _blocks(total, width):
+        picks = np.unravel_index(np.arange(rows.start, rows.stop), (count,) * blocks)
+        yield [_points(grid, axes, i) for i in picks]
 
 
 def _worst(qs):

@@ -49,11 +49,11 @@ from .grid import (
     rep_coords,
     rel_index,
     _block_axes,
+    _blocks,
     _fftn,
     _partial_dft_core,
     _real,
     _real_number,
-    _row_blocks,
 )
 
 __all__ = [
@@ -224,11 +224,11 @@ def symbol_transfer(a: Symbol, A) -> Symbol:
 def _to_kernel(G: np.ndarray, grid: GridSpec) -> OperatorMatrix:
     """The kernel K[j, j - u] = G[j, u], written over G, an (N, N) array
     the caller owns, and returned.  Row j of K is row j of G permuted,
-    K[j, j'] = G[j, j - j'], so the rows are gathered one block of at most
-    ``_BLOCK_ENTRIES`` entries at a time, from a copy of that block."""
+    K[j, j'] = G[j, j - j'], so the rows are gathered one block of
+    ``grid._blocks`` at a time, from a copy of that block."""
     N = grid.size
     rel = rel_index(grid)
-    for rows in _row_blocks(N):
+    for rows in _blocks(N, N):
         block = G[rows]
         flat = rel[rows] + N * np.arange(len(block))[:, None]
         # indices are in range; mode "raise" would buffer the output
@@ -302,7 +302,7 @@ def kernel_route(a: Symbol, A) -> OperatorMatrix:
     np.fft.fftn(G4, axes=pos, out=G4)
     G /= root
     reps = rep_coords(grid).astype(float)
-    for rows in _row_blocks(grid.size):
+    for rows in _blocks(grid.size, grid.size):
         G[rows] *= np.exp(-2j * np.pi * np.einsum("ki,ij,uj->ku", reps[rows], A.entries, reps) / grid.n)
     np.fft.ifftn(G4, axes=pos, out=G4)
     G *= root

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
-from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _BLOCK_ENTRIES, _count, _real, _real_number
+from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _blocks, _count, _real, _real_number
 from .quantizer import MatrixParam, quantize, _kernel_formula, _quantize_average
 from .wigner import FOURD_LIMIT
 
@@ -362,12 +362,12 @@ def sphere_average_exp(rho: float, samples: int = 10**6, seed: int = 0) -> float
 
 def _stratified_angles(rng, samples: int):
     """The angles 2 pi (k + U_k) / samples, k = 0..samples-1, one uniform
-    U_k per stratum, as fresh arrays of at most _BLOCK_ENTRIES consecutive
-    angles.  The jitter is drawn from `rng` one block at a time, which
-    yields the same numbers as one draw of all `samples`."""
-    for start in range(0, samples, _BLOCK_ENTRIES):
-        angles = rng.random(min(_BLOCK_ENTRIES, samples - start))
-        angles += np.arange(start, start + angles.size)
+    U_k per stratum, as fresh arrays of the consecutive angles of each
+    block of ``grid._blocks``.  The jitter is drawn from `rng` one block at a
+    time, which yields the same numbers as one draw of all `samples`."""
+    for block in _blocks(samples):
+        angles = rng.random(block.stop - block.start)
+        angles += np.arange(block.start, block.stop)
         angles *= 2.0 * np.pi
         angles /= samples
         yield angles

@@ -21,8 +21,8 @@ from .grid import (
     index_coords,
     flatten_coords,
     doubled,
-    _BLOCK_ENTRIES,
     _GridArray,
+    _blocks,
     _fftn,
 )
 from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer
@@ -154,10 +154,11 @@ def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
 
     k holds flat frequency indices over (eta, y), all N^2 of them in order
     unless `columns` names some; V[b] is the (N, N) column at k[b] over the
-    translations (x, xi).  Column k is the cyclic cross-correlation
-    ifftn(F^(. + k) conj(Phi^)) / N of two FFTs done here, once: F^ tiled
-    twice along its last d axes (2^d spectra), where a column's shift is a
-    window, and the window spectrum conj(Phi^) / N, which carries the scale.
+    translations (x, xi); ``grid._blocks`` splits the columns, N^2 entries
+    each.  Column k is the cyclic cross-correlation ifftn(F^(. + k)
+    conj(Phi^)) / N of two FFTs done here, once: F^ tiled twice along its
+    last d axes (2^d spectra), where a column's shift is a window, and the
+    window spectrum conj(Phi^) / N, which carries the scale.
     The generator keeps only those, so no (N,)*4 array is ever built.
 
     The generator holds no block once it has handed it out.  A consumer
@@ -172,8 +173,7 @@ def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
     Phihat = np.conj(_fftn(Phi.reshape(shape)))
     Phihat /= N
     ks = np.arange(N**2) if columns is None else np.asarray(columns)
-    step = max(1, _BLOCK_ENTRIES // N**2)
-    return (_column_block(windows, Phihat, ks[s:s + step]) for s in range(0, len(ks), step))
+    return (_column_block(windows, Phihat, ks[s]) for s in _blocks(len(ks), N**2))
 
 
 def _column_block(windows: np.ndarray, Phihat: np.ndarray, k: np.ndarray):

@@ -1,17 +1,20 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import psdo
 from psdo import GridSpec, Signal, Symbol, dft, idft, partial_dft, frac_shift, gaussian_window, rep
 from psdo.errors import DimMismatch, InvalidDimension, InvalidParams
 from psdo.modspace import make_weight
 from psdo.quantizer import MatrixParam, as_matrix_param
 from psdo.schemes import (SchemeSpec, psi, psi0, psi_alternating, sphere_average_exp, un_avg_multiplier,
                           un_avg_multiplier_grid)
-from psdo.grid import CACHE_SIZE, _coords, _rel_index, rel_index, rep_axis
+from psdo.grid import CACHE_SIZE, _BLOCK_ENTRIES, _blocks, _coords, _rel_index, rel_index, rep_axis
 
 from reference import naive_dft
 
@@ -262,3 +265,28 @@ def test_index_caches_are_bounded():
     for cached in (rep_axis, _coords, _rel_index):
         assert cached.cache_info().currsize <= CACHE_SIZE
     assert _rel_index.cache_info().currsize == CACHE_SIZE
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 2**14, 2**14 + 1, 10**5])
+@pytest.mark.parametrize("width", [1, 3, 225, 2**14, 2**15])
+def test_blocks_cover_each_item_once(count, width):
+    # every streamed evaluation splits its items with grid._blocks: the
+    # slices run over range(count) in order, each item once; every slice but
+    # the last holds the same number of items, at most _BLOCK_ENTRIES
+    # entries of `width` each, or one item where an item is wider
+    slices = list(_blocks(count, width))
+    assert [i for rows in slices for i in range(count)[rows]] == list(range(count))
+    step = max(1, _BLOCK_ENTRIES // width)
+    assert all(rows.stop - rows.start == step for rows in slices[:-1])
+    for rows in slices:
+        assert 0 < rows.stop - rows.start <= step
+        assert (rows.stop - rows.start) * width <= _BLOCK_ENTRIES or rows.stop - rows.start == 1
+
+
+def test_only_grid_binds_the_block_size():
+    # every stream reads the block size from psdo.grid when it runs, so a
+    # test that patches psdo.grid._BLOCK_ENTRIES resizes them all; a module
+    # that imported the constant by value would keep a copy of its own
+    names = ["psdo"] + [f"psdo.{m.name}" for m in pkgutil.iter_modules(psdo.__path__)]
+    binders = [name for name in names if "_BLOCK_ENTRIES" in vars(importlib.import_module(name))]
+    assert binders == ["psdo.grid"]

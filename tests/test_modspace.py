@@ -8,6 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import reference as ref
+import psdo.grid
 import psdo.modspace as ms
 from psdo import GridSpec, Signal, Symbol, gaussian_window, verify
 from psdo.modspace import (
@@ -38,6 +39,7 @@ from psdo.modspace import (
     lp_norm,
     _symbol_modulation_norms,
 )
+from psdo.grid import rep_axis
 from psdo.wigner import TimeFrequencyArray, phase_space_stft
 from psdo.errors import (
     ArityMismatch,
@@ -463,7 +465,7 @@ def test_exhaustive_chunks_match_one_batch(monkeypatch):
         assert len(list(ms._tuple_chunks(grid, ms.TF_AXES, 3))) > 1
         blocked = bounds(grid)
         with monkeypatch.context() as m:
-            m.setattr(ms, "_BLOCK_ENTRIES", 10**9)
+            m.setattr(psdo.grid, "_BLOCK_ENTRIES", 10**9)
             assert len(list(ms._tuple_chunks(grid, ms.TF_AXES, 3))) == 1
             assert bounds(grid) == blocked
 
@@ -533,3 +535,51 @@ def test_weight_estimators_match_naive(n, d, A):
     ]
     for (ok, c), want in cases:
         assert ok and c == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("weight", [make_weight("polynomial", axes=SYMBOL_AXES, s=1.0),
+                                    make_weight("exponential", axes=SYMBOL_AXES, c=0.5, s=2.0)])
+def test_moderate_check_builds_only_sampled_points(weight):
+    # the 225^8 symbol-layout pairs at n=15, d=2 are sampled, and each chunk
+    # builds only its own points: building the 225^4-point domain first
+    # raised MemoryError (153 GiB); about 2-3 MiB are traced, most of it the
+    # two 0.8 MB index arrays of the samples
+    grid = GridSpec(2, 15)
+    tracemalloc.start()
+    try:
+        ok, c = moderate_check(weight, weight, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and math.isfinite(c)
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
+def _dense_domain(grid, axes):
+    """Every point of the stacked domain of `axes`, row-major, built by
+    broadcasting the scaled centered representatives of each axis."""
+    scales = [1.0 if kind == "pos" else 2.0 * np.pi / grid.n for kind in axes for _ in range(grid.d)]
+    axis_values = [scale * rep_axis(grid.n).astype(float) for scale in scales]
+    return np.stack(np.meshgrid(*axis_values, indexing="ij"), axis=-1).reshape(-1, len(scales))
+
+
+def test_tuple_chunks_are_rows_of_the_dense_domain():
+    # every chunk's points are, bit for bit, the rows of the whole domain at
+    # the tuples' flat indices: at n=9, d=1 the 6561^2 symbol-layout pairs
+    # are sampled with seed 0, the 81^2 time-frequency pairs run exhaustively
+    grid = GridSpec(1, 9)
+    domain = _dense_domain(grid, SYMBOL_AXES)
+    rng = np.random.default_rng(0)
+    picks = [rng.integers(0, len(domain), size=ms.PAIR_SAMPLES) for _ in range(2)]
+    start = 0
+    for X, Y in ms._tuple_chunks(grid, SYMBOL_AXES, 2):
+        rows = slice(start, start + len(X))
+        np.testing.assert_array_equal(X, domain[picks[0][rows]])
+        np.testing.assert_array_equal(Y, domain[picks[1][rows]])
+        start = rows.stop
+    assert start == ms.PAIR_SAMPLES
+
+    domain = _dense_domain(grid, ms.TF_AXES)
+    X, Y = (np.concatenate(points) for points in zip(*ms._tuple_chunks(grid, ms.TF_AXES, 2)))
+    np.testing.assert_array_equal(X, np.repeat(domain, len(domain), axis=0))
+    np.testing.assert_array_equal(Y, np.tile(domain, (len(domain), 1)))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import psdo.grid
 from psdo import (
     GridSpec,
     Signal,
@@ -372,7 +373,7 @@ def test_4d_checks_hold_one_block_per_stream(rng, monkeypatch):
     # weigh well under one block; the production size is pinned by
     # test_4d_checks_peak_at_production_block
     block_entries = 2**16
-    monkeypatch.setattr(importlib.import_module("psdo.wigner"), "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(psdo.grid, "_BLOCK_ENTRIES", block_entries)
     N = 33
     block = 16 * (block_entries // N**2) * N**2
     for (name, run), bound in zip(_streamed_checks_n33(rng), (2.6, 2.5, 3.6, 1.75)):
