@@ -20,7 +20,6 @@ from .modspace import (
     ExponentTuple,
     MixedNormParams,
     conjugate_exponent,
-    exponent_to_float,
     holds_composition_exponents,
     holds_composition_exponents_l2,
     holds_composition_weight_bound,
@@ -136,9 +135,7 @@ def alg_hypotheses_report(exponents: ExponentTuple, weights, A, grid: GridSpec,
     if not ((preds["composition_exponents"] or preds["composition_exponents_l2"]) and w_ok):
         return report
 
-    p0c = exponent_to_float(conjugate_exponent(exponents.p[0]))
-    q0c = exponent_to_float(conjugate_exponent(exponents.q[0]))
-    out_params = MixedNormParams(p0c, q0c)
+    out_params = MixedNormParams(conjugate_exponent(exponents.p[0]), conjugate_exponent(exponents.q[0]))
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(draws):
@@ -146,10 +143,7 @@ def alg_hypotheses_report(exponents: ExponentTuple, weights, A, grid: GridSpec,
         lhs = symbol_modulation_norm(sharp_n(factors, A), out_params, weights[0].inverse())
         rhs = 1.0
         for j, f in enumerate(factors, start=1):
-            params = MixedNormParams(
-                exponent_to_float(exponents.p[j]), exponent_to_float(exponents.q[j])
-            )
-            rhs *= symbol_modulation_norm(f, params, weights[j])
+            rhs *= symbol_modulation_norm(f, MixedNormParams(exponents.p[j], exponents.q[j]), weights[j])
         ratios.append(lhs / rhs)
     report.estimated = True
     report.max_ratio = float(np.max(ratios))

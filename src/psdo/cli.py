@@ -20,17 +20,15 @@ import numpy as np
 from .arrays import read_array, write_array
 from .bench import format_csv, run_bench, scaling_note
 from .calculus import sharp
-from .errors import InvalidExponent, PsdoError, ValidationError
-from .grid import GridSpec, Signal, Symbol, _blocks
-from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm, _numeric_exponent
+from .errors import PsdoError, ValidationError
+from .grid import GridSpec, OperatorMatrix, Signal, Symbol, _blocks
+from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm, _exponent
 from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_transfer
 from .schatten import schatten_norm
 from .schemes import SchemeSpec, quantize_scheme
 from .validation import validate
 from .verify import SUITES, format_table, report_to_json, _run_suite, _timing_to_json
 from .wigner import stft, wigner
-
-OP_COMMANDS = ("quantize", "scheme", "wigner", "stft", "modnorm", "schatten", "compose", "transfer")
 
 
 def _json_line(obj) -> str:
@@ -93,7 +91,9 @@ def _job_from_args(args, operation):
     return grid, _parse_inputs(args.input), params, args.out
 
 
-def _load(inputs, name, grid, shape):
+def _load(inputs, name, grid, kind):
+    """Input `name` read from its file as a `kind` (Signal, Symbol or
+    OperatorMatrix) on the job grid."""
     try:
         path = inputs[name]
     except KeyError:
@@ -101,19 +101,10 @@ def _load(inputs, name, grid, shape):
     data, file_grid = read_array(path)
     if (file_grid.d, file_grid.n, file_grid.mode) != (grid.d, grid.n, grid.mode):
         raise ValidationError(f"{path}: grid {file_grid} does not match job grid {grid}")
+    shape = (grid.size,) * kind.rank
     if data.shape != shape:
         raise ValidationError(f"{path}: shape {data.shape}, expected {shape}")
-    return data
-
-
-def _exponent(params, key, default):
-    """params[key] as a float exponent, admitted by the library's one rule
-    for a numeric exponent: a bool, a string or NaN raises InvalidExponent."""
-    value = params.get(key, default)
-    try:
-        return float(_numeric_exponent(value))
-    except (InvalidExponent, OverflowError):
-        raise InvalidExponent(f"parameter {key!r} must be a number, got {value!r}") from None
+    return kind(grid, data)
 
 
 def _exponent_echo(p: float):
@@ -134,10 +125,8 @@ def _weight_from_descriptor(desc):
     return make_weight(kind, axes=axes, **params)
 
 
-def _cmd_quantize(args):
-    grid, inputs, params, out = _job_from_args(args, "quantize")
-    N = grid.size
-    a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
+def _cmd_quantize(grid, inputs, params, out):
+    a = _load(inputs, "a", grid, Symbol)
     route = params.get("route", "kernel")
     routes = {"kernel": quantize, "multiplier": multiplier_route}
     if not isinstance(route, str) or route not in routes:
@@ -157,64 +146,48 @@ def _hermiticity_defect(K) -> float:
     return float(np.max(maxima))
 
 
-def _cmd_scheme(args):
-    grid, inputs, params, out = _job_from_args(args, "scheme")
-    N = grid.size
-    a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
+def _cmd_scheme(grid, inputs, params, out):
+    a = _load(inputs, "a", grid, Symbol)
     desc = params.get("scheme", {"kind": "weyl"})
     validate(desc, "scheme")
     K = quantize_scheme(a, SchemeSpec.from_descriptor(desc))
     return _write_array_result(out, K, params_echo=desc)
 
 
-def _cmd_wigner(args):
-    grid, inputs, params, out = _job_from_args(args, "wigner")
-    N = grid.size
-    f1 = Signal(grid, _load(inputs, "f1", grid, (N,)))
-    f2 = Signal(grid, _load(inputs, "f2", grid, (N,)))
+def _cmd_wigner(grid, inputs, params, out):
+    f1, f2 = _load(inputs, "f1", grid, Signal), _load(inputs, "f2", grid, Signal)
     return _write_array_result(out, wigner(f1, f2, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
-def _cmd_stft(args):
-    grid, inputs, _, out = _job_from_args(args, "stft")
-    N = grid.size
-    f = Signal(grid, _load(inputs, "f", grid, (N,)))
-    phi = Signal(grid, _load(inputs, "phi", grid, (N,)))
+def _cmd_stft(grid, inputs, params, out):
+    f, phi = _load(inputs, "f", grid, Signal), _load(inputs, "phi", grid, Signal)
     return _write_array_result(out, stft(f, phi))
 
 
-def _cmd_modnorm(args):
-    grid, inputs, params, out = _job_from_args(args, "modnorm")
-    N = grid.size
-    f = Signal(grid, _load(inputs, "f", grid, (N,)))
-    phi = Signal(grid, _load(inputs, "phi", grid, (N,))) if "phi" in inputs else None
-    p, q = _exponent(params, "p", 2), _exponent(params, "q", 2)
+def _cmd_modnorm(grid, inputs, params, out):
+    f = _load(inputs, "f", grid, Signal)
+    phi = _load(inputs, "phi", grid, Signal) if "phi" in inputs else None
+    p = _exponent("parameter 'p'", params.get("p", 2))
+    q = _exponent("parameter 'q'", params.get("q", 2))
     omega = _weight_from_descriptor(params.get("weight")) or trivial_weight()
     value = modulation_norm(f, MixedNormParams(p, q), omega, phi)
     return _write_scalar_result(out, value, {"p": _exponent_echo(p), "q": _exponent_echo(q),
                                              "weight": omega.descriptor()})
 
 
-def _cmd_schatten(args):
-    grid, inputs, params, out = _job_from_args(args, "schatten")
-    N = grid.size
-    T = _load(inputs, "t", grid, (N, N))
-    p = _exponent(params, "p", 2)
+def _cmd_schatten(grid, inputs, params, out):
+    T = _load(inputs, "t", grid, OperatorMatrix)
+    p = _exponent("parameter 'p'", params.get("p", 2))
     return _write_scalar_result(out, schatten_norm(T, p), {"p": _exponent_echo(p)})
 
 
-def _cmd_compose(args):
-    grid, inputs, params, out = _job_from_args(args, "compose")
-    N = grid.size
-    a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
-    b = Symbol(grid, _load(inputs, "b", grid, (N, N)))
+def _cmd_compose(grid, inputs, params, out):
+    a, b = _load(inputs, "a", grid, Symbol), _load(inputs, "b", grid, Symbol)
     return _write_array_result(out, sharp(a, b, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
-def _cmd_transfer(args):
-    grid, inputs, params, out = _job_from_args(args, "transfer")
-    N = grid.size
-    a = Symbol(grid, _load(inputs, "a", grid, (N, N)))
+def _cmd_transfer(grid, inputs, params, out):
+    a = _load(inputs, "a", grid, Symbol)
     return _write_array_result(out, symbol_transfer(a, as_matrix_param(params.get("A", 0.0), grid.d)))
 
 
@@ -255,6 +228,13 @@ _HANDLERS = {
     "compose": _cmd_compose,
     "transfer": _cmd_transfer,
 }
+OP_COMMANDS = tuple(_HANDLERS)
+
+
+def _cmd_op(args):
+    """Run the op command args.command on its job: a manifest, or the
+    inline flags."""
+    return _HANDLERS[args.command](*_job_from_args(args, args.command))
 
 
 @functools.cache
@@ -275,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="named input array file (repeatable)")
         p.add_argument("--params", help="operation parameters as a JSON object")
         p.add_argument("--out", help="output path (.csv/.bin for arrays, .json for scalars)")
-        p.set_defaults(handler=_HANDLERS[name])
+        p.set_defaults(handler=_cmd_op)
 
     v = sub.add_parser("verify", help="machine-check the identity suite")
     v.add_argument("suite", nargs="?", default="all", choices=list(SUITES))

@@ -7,8 +7,10 @@ identity asserted exactly elsewhere (Moyal-type equalities) is
 constant-free; inequality-type statements are reported with empirically
 estimated constants.
 
-Exponents are exact rationals (plus a distinguished infinity), so the
-equality-type conditions are decided exactly, never by float comparison.
+Exponents are exact rationals (plus INF = math.inf, which a Fraction
+compares with exactly under <=, min and max), so the equality-type
+conditions are decided exactly, never by float comparison; the norms take
+the float that :func:`_exponent` gives.
 Physical phase-space coordinates: centered representatives, scale 1 on
 position axes and 2*pi/n on frequency axes.
 """
@@ -78,6 +80,10 @@ KERNEL_AXES = ("pos", "pos", "freq", "freq")  # kernel phase space (x, y, xi, et
 PAIR_LIMIT = 10**6
 PAIR_SAMPLES = 10**5
 
+# the largest |log omega| a weight may take: beyond it omega or 1/omega
+# leaves the range of normal floats
+_LOG_WEIGHT_LIMIT = -math.log(np.finfo(float).tiny)
+
 
 # ---------------------------------------------------------------------------
 # exponents
@@ -96,18 +102,19 @@ def as_exponent(x):
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise InvalidExponent(f"cannot interpret {x!r} as an exponent") from None
-    return _numeric_exponent(x)
+    return _numeric_exponent("exponent", x)
 
 
-def _numeric_exponent(x):
+def _numeric_exponent(name, x):
     """A real number as an exact exponent: a Fraction, or INF for +inf.
 
     numpy scalars count as numbers; a bool, a string, a complex number,
-    NaN and -inf raise InvalidExponent.  The one rule for what a numeric
-    exponent is, shared by :func:`as_exponent` and :class:`MixedNormParams`.
+    NaN and -inf raise InvalidExponent naming the parameter.  The one rule
+    for what a numeric exponent is, shared by :func:`as_exponent` and
+    :func:`_exponent`.
     """
     if not _is_real(x):
-        raise InvalidExponent(f"cannot interpret {x!r} as an exponent")
+        raise InvalidExponent(f"{name} must be a real number or inf, got {x!r}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, numbers.Integral):  # a Python int, so no numpy scalar wraps in the exact arithmetic
@@ -115,8 +122,23 @@ def _numeric_exponent(x):
     if x == INF:
         return INF
     if not math.isfinite(x):
-        raise InvalidExponent(f"cannot interpret {x!r} as an exponent")
+        raise InvalidExponent(f"{name} must be a real number or inf, got {x!r}")
     return Fraction(float(x))
+
+
+def _exponent(name, value, minimum=None):
+    """value as a Python float exponent in (0, inf], or in [minimum, inf]
+    when `minimum` is given; else InvalidExponent naming the parameter: the
+    one rule for the exponent of a norm.  A number with no float, such as
+    an integer beyond the largest float, is refused."""
+    try:
+        p = float(_numeric_exponent(name, value))
+    except OverflowError:  # an integer beyond the largest float
+        p = math.nan
+    if not (p > 0 if minimum is None else p >= minimum):
+        bound = "(0, inf]" if minimum is None else f"[{minimum}, inf]"
+        raise InvalidExponent(f"{name} must lie in {bound}, got {value!r}")
+    return p
 
 
 def _check_range(p):
@@ -140,10 +162,6 @@ def conjugate_exponent(p):
     return p / (p - 1)
 
 
-def exponent_to_float(p) -> float:
-    return math.inf if p is INF else float(p)
-
-
 @dataclass(frozen=True)
 class ExponentTuple:
     """Paired exponent lists (p_0..p_N, q_0..q_N), stored exactly."""
@@ -160,15 +178,15 @@ class ExponentTuple:
 
 @dataclass(frozen=True)
 class MixedNormParams:
-    """Inner (position) exponent p and outer (frequency) exponent q."""
+    """Inner (position) exponent p and outer (frequency) exponent q, each
+    stored as the float that :func:`_exponent` gives."""
 
     p: float
     q: float
 
     def __post_init__(self):
-        for name, v in (("p", self.p), ("q", self.q)):
-            if _numeric_exponent(v) <= 0:
-                raise InvalidExponent(f"{name} must lie in (0, inf], got {v}")
+        for name in ("p", "q"):
+            object.__setattr__(self, name, _exponent(name, getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +216,26 @@ class Weight:
         X = np.asarray(X, dtype=float)
         if self.kind == "polynomial":
             (s,) = self.params
-            return (1.0 + np.sum(X**2, axis=-1)) ** (s / 2.0)
+            r2 = np.sum(X**2, axis=-1)
+            self._check_log_range(abs(s) / 2.0 * math.log1p(float(r2.max(initial=0.0))))
+            return (1.0 + r2) ** (s / 2.0)
         if self.kind == "exponential":
             c, s = self.params
-            return np.exp(c * np.sqrt(np.sum(X**2, axis=-1)) ** (1.0 / s))
+            r = np.sqrt(np.sum(X**2, axis=-1))
+            self._check_log_range(abs(c) * float(r.max(initial=0.0)) ** (1.0 / s))
+            return np.exp(c * r ** (1.0 / s))
         if self.kind == "product":
             w1, w2 = self.params
             split = X.shape[-1] * len(w1.axes) // len(self.axes)
             return w1.evaluate(X[..., :split]) * w2.evaluate(X[..., split:])
         raise DomainMismatch(f"weight kind {self.kind!r} cannot be evaluated off-grid")
+
+    def _check_log_range(self, log_max):
+        """InvalidParams unless log_max, the largest |log omega| over the
+        points asked for, is at most _LOG_WEIGHT_LIMIT."""
+        if not log_max <= _LOG_WEIGHT_LIMIT:
+            raise InvalidParams(f"{self.kind} weight {self.params} reaches |log omega| = {log_max:.4g} on these "
+                                f"points, beyond the float range ({_LOG_WEIGHT_LIMIT:.1f})")
 
     def sample(self, grid: GridSpec) -> np.ndarray:
         """Values on the full grid, shape (N,)*len(axes), evaluated in the
@@ -310,18 +339,12 @@ def _points(grid: GridSpec, axes, flat) -> np.ndarray:
 def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
     """Worst constant in omega(X+Y) <= C omega(X) v(Y) over grid pairs.
 
-    Exhaustive (one row of pairs at a time) when the pair count is at most
-    PAIR_LIMIT, otherwise PAIR_SAMPLES fixed-seed random pairs.  Returns
-    (finite, C_est).
+    Over every pair when there are at most PAIR_LIMIT of them, otherwise
+    over PAIR_SAMPLES fixed-seed random pairs.  Returns (finite, C_est).
     """
     _require_axes(omega.axes, v)
-    if grid.size ** (2 * len(omega.axes)) > PAIR_LIMIT:
-        return _worst(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y))
-                      for X, Y in _tuple_chunks(grid, omega.axes, 2))
-    X = _points(grid, omega.axes, np.arange(grid.size ** len(omega.axes)))
-    wX = omega.evaluate(X)
-    vX = v.evaluate(X)
-    return _worst(omega.evaluate(X[i] + X) / (wX[i] * vX) for i in range(X.shape[0]))
+    return _worst(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y))
+                  for X, Y in _tuple_chunks(grid, omega.axes, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +447,6 @@ def hy_functional(p_list) -> Fraction:
     return (sum((recip(p) for p in ps), Fraction(0)) - 1) / (N - 1)
 
 
-def _le(a, b) -> bool:
-    """a <= b over Fractions extended with INF."""
-    if a is INF:
-        return b is INF
-    if b is INF:
-        return True
-    return a <= b
-
-
 def holds_op_bound_exponents(t: ExponentTuple) -> bool:
     """Exponent condition for operator boundedness between modulation spaces:
     1/p1 - 1/p2 = 1/q1 - 1/q2 = 1 - 1/p - 1/q and q <= p2, q2 <= p.
@@ -446,8 +460,7 @@ def holds_op_bound_exponents(t: ExponentTuple) -> bool:
     lhs1 = recip(p1) - recip(p2)
     lhs2 = recip(q1) - recip(q2)
     rhs = 1 - recip(p) - recip(q)
-    order = _le(q, p2) and _le(q, q2) and _le(p2, p) and _le(q2, p)
-    return lhs1 == lhs2 == rhs and order
+    return lhs1 == lhs2 == rhs and q <= min(p2, q2) and max(p2, q2) <= p
 
 
 def holds_schatten_embedding_exponents(t: ExponentTuple) -> bool:
@@ -461,9 +474,7 @@ def holds_schatten_embedding_exponents(t: ExponentTuple) -> bool:
     p, p1, p2 = t.p
     _, q1, q2 = t.q
     pc = conjugate_exponent(p)
-    lo = p if _le(p, pc) else pc
-    hi = pc if _le(p, pc) else p
-    return _le(p1, p) and _le(p, p2) and _le(q1, lo) and _le(hi, q2)
+    return p1 <= p <= p2 and q1 <= min(p, pc) and max(p, pc) <= q2
 
 
 def holds_wigner_product_exponents(t: ExponentTuple) -> bool:
@@ -477,8 +488,7 @@ def holds_wigner_product_exponents(t: ExponentTuple) -> bool:
     p, p1, p2 = t.p
     q, q1, q2 = t.q
     balance = recip(p1) + recip(p2) == recip(q1) + recip(q2) == recip(p) + recip(q)
-    order = all(_le(p, x) and _le(x, q) for x in (p1, p2, q1, q2))
-    return balance and order
+    return balance and all(p <= x <= q for x in (p1, p2, q1, q2))
 
 
 def holds_composition_exponents(t: ExponentTuple) -> bool:

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidExponent, InvalidParams
+from .errors import DimMismatch, InvalidParams
 from .grid import OperatorMatrix, Symbol
-from .modspace import _lp_reduce, _numeric_exponent
+from .modspace import _exponent, _lp_reduce
 from .quantizer import quantize
 
 __all__ = [
@@ -66,9 +66,7 @@ def singular_values(T) -> SingularSpectrum:
 
 def schatten_norm(T, p: float) -> float:
     """l^p norm of the singular spectrum; p=2 is Frobenius, p=inf operator norm."""
-    if _numeric_exponent(p) <= 0:
-        raise InvalidExponent(f"Schatten exponent must lie in (0, inf], got {p}")
-    return float(_lp_reduce(singular_values(T).values, p))
+    return float(_lp_reduce(singular_values(T).values, _exponent("p", p)))
 
 
 def symbol_schatten_norm(a: Symbol, A, p: float) -> float:
@@ -91,8 +89,7 @@ def duality_check(T, p: float):
     at T0 = U diag(w) V^* with w the l^{p'}-unit dual vector of the
     singular values; returns (lhs, rhs, ratio).
     """
-    if _numeric_exponent(p) < 1:
-        raise InvalidExponent(f"duality needs p in [1, inf], got {p}")
+    p = _exponent("p", p, minimum=1)
     M = _matrix(T)
     U, sigma, Vh = _svd(M, compute_uv=True)
     lhs = float(_lp_reduce(sigma, p))
@@ -113,12 +110,11 @@ def duality_check(T, p: float):
 def hoelder_check(T1, T2, p1: float, p2: float):
     """Composition bound ||T2 T1||_{I_r} <= ||T1||_{I_{p1}} ||T2||_{I_{p2}}
     with 1/r = 1/p1 + 1/p2; returns (lhs, rhs)."""
-    if _numeric_exponent(p1) <= 0 or _numeric_exponent(p2) <= 0:
-        raise InvalidExponent("exponents must lie in (0, inf]")
+    p1, p2 = _exponent("p1", p1), _exponent("p2", p2)
     M1, M2 = _matrix(T1), _matrix(T2)
     if M1.shape[0] != M2.shape[1]:
         raise DimMismatch(f"cannot compose {M2.shape} after {M1.shape}")
-    inv_r = (0.0 if math.isinf(p1) else 1.0 / p1) + (0.0 if math.isinf(p2) else 1.0 / p2)
+    inv_r = 1.0 / p1 + 1.0 / p2
     r = math.inf if inv_r == 0.0 else 1.0 / inv_r
     rhs = schatten_norm(M1, p1) * schatten_norm(M2, p2)  # refuses a non-finite factor first
     lhs = schatten_norm(M2 @ M1, r)

@@ -43,9 +43,7 @@ def _type_ok(value, typename: str) -> bool:
     cls = _TYPES.get(typename)
     if cls is None:
         raise ValidationError(f"schema uses unsupported type {typename!r}")
-    if cls is bool:
-        return isinstance(value, bool)
-    return isinstance(value, cls) and not (cls is not bool and isinstance(value, bool))
+    return isinstance(value, cls)
 
 
 def _validate(value, schema: dict, path: str):

@@ -541,6 +541,14 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": True}}}, "'s'"),
     ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": "1"}}}, "'s'"),
     ("quantize", {"A": "0.5"}, "matrix parameter A"),
+    ("modnorm", {"p": 10**400}, "InvalidExponent: parameter 'p'"),
+    ("modnorm", {"q": "2"}, "InvalidExponent: parameter 'q'"),
+    ("modnorm", {"p": float("nan")}, "InvalidExponent: parameter 'p'"),
+    ("modnorm", {"q": -float("inf")}, "InvalidExponent: parameter 'q'"),
+    ("modnorm", {"p": 0}, "InvalidExponent: parameter 'p'"),
+    ("schatten", {"p": 0}, "InvalidExponent: parameter 'p'"),
+    # exp(1e308 |X|) overflowed with RuntimeWarnings to an infinite norm
+    ("modnorm", {"weight": {"kind": "exponential", "params": {"c": 1e308, "s": 1}}}, "float range"),
 ])
 def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
     g = GridSpec(1, 9)

@@ -40,6 +40,7 @@ from psdo.modspace import (
     _symbol_modulation_norms,
 )
 from psdo.grid import rep_axis
+from psdo.schatten import duality_check, hoelder_check, schatten_norm
 from psdo.wigner import TimeFrequencyArray, phase_space_stft
 from psdo.errors import (
     ArityMismatch,
@@ -158,14 +159,40 @@ def test_moderate_check_sampled_path(grid9):
     assert ok and 0.0 < c <= math.sqrt(2.0) + 1e-12
 
 
-@pytest.mark.parametrize("n", [9, 33])  # 81^2 pairs: exhaustive rows; 1089^2: sampled
-def test_moderate_check_reports_nan(n):
-    # exp(800 |X|) overflows, so some ratios are inf/inf = NaN; both paths
-    # must report them rather than drop them from the max
-    w = make_weight("exponential", c=800.0, s=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok, c = moderate_check(w, w, GridSpec(1, n))
+@pytest.mark.parametrize("n", [9, 33])  # 81^2 pairs: exhaustive; 1089^2: sampled
+def test_moderate_check_reports_nan(monkeypatch, n):
+    # exp(800 |X|) overflowed to inf/inf = NaN ratios; it is now refused
+    # before it is evaluated
+    grid = GridSpec(1, n)
+    with pytest.raises(InvalidParams, match="float range"):
+        moderate_check(make_weight("exponential", c=800.0, s=1.0), trivial_weight(), grid)
+    # a NaN ratio, here from a weight that is NaN at the origin, is reported
+    # rather than dropped from the max
+    evaluate = ms.Weight.evaluate
+
+    def nan_at_origin(self, X):
+        out = evaluate(self, X)
+        out[np.all(X == 0.0, axis=-1)] = np.nan
+        return out
+
+    monkeypatch.setattr(ms.Weight, "evaluate", nan_at_origin)
+    w = make_weight("polynomial", s=1.0)
+    ok, c = moderate_check(w, w, grid)
     assert not ok and math.isnan(c)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("exponential", {"c": 1e308, "s": 1.0}), ("exponential", {"c": -1e308, "s": 1.0}),
+    ("polynomial", {"s": 1e308}), ("polynomial", {"s": -1e308})])
+def test_weights_beyond_the_float_range_are_refused(kind, params):
+    # the norm overflowed with RuntimeWarnings to inf, and at c = -1e308
+    # moderate_check returned (False, nan)
+    grid = GridSpec(1, 5)
+    w = make_weight(kind, **params)
+    with pytest.raises(InvalidParams, match="float range"):
+        modulation_norm(Signal.random(grid, np.random.default_rng(0)), MixedNormParams(2, 2), w)
+    with pytest.raises(InvalidParams, match="float range"):
+        moderate_check(w, trivial_weight(), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +372,45 @@ def test_numpy_scalars_are_exponents():
     assert as_exponent(np.float32(0.5)) == Fraction(1, 2)
     assert as_exponent(np.float64(math.inf)) is INF
     assert MixedNormParams(np.int64(2), np.float64(math.inf)).p == 2
+
+
+_T = np.diag([3.0, 2.0, 1.0]).astype(complex)
+_F = Signal.random(GridSpec(1, 5), np.random.default_rng(0))
+
+# every entry point that takes a float exponent, and the name its refusal starts with
+FLOAT_EXPONENT_ENTRIES = {
+    "MixedNormParams p": (lambda x: MixedNormParams(x, 2).p, "p"),
+    "MixedNormParams q": (lambda x: MixedNormParams(2, x).q, "q"),
+    "modulation_norm": (lambda x: modulation_norm(_F, MixedNormParams(x, 2)), "p"),
+    "schatten_norm": (lambda x: schatten_norm(_T, x), "p"),
+    "duality_check": (lambda x: duality_check(_T, x), "p"),
+    "hoelder_check p1": (lambda x: hoelder_check(_T, _T, x, 2), "p1"),
+    "hoelder_check p2": (lambda x: hoelder_check(_T, _T, 2, x), "p2"),
+}
+
+
+_NOT_EXPONENTS = {"10**400": 10**400, "True": True, "'2'": "2", "nan": math.nan, "-inf": -math.inf, "0": 0}
+
+
+@pytest.mark.parametrize("entry, x", [pytest.param(entry, x, id=f"{entry}-{label}")
+                                      for entry in FLOAT_EXPONENT_ENTRIES
+                                      for label, x in _NOT_EXPONENTS.items()]
+                         + [pytest.param("duality_check", 0.5, id="duality_check-0.5")])
+def test_float_exponents_share_one_rule(entry, x):
+    # 10**400 escaped as a raw OverflowError everywhere but in the CLI
+    call, name = FLOAT_EXPONENT_ENTRIES[entry]
+    with pytest.raises(InvalidExponent, match=rf"^{name} "):
+        call(x)
+
+
+@pytest.mark.parametrize("entry", FLOAT_EXPONENT_ENTRIES)
+def test_float_exponents_take_the_float64_value(entry):
+    # MixedNormParams kept np.float32(1.5), so the norm took 1/p in float32
+    call, _ = FLOAT_EXPONENT_ENTRIES[entry]
+    want = call(1.5)
+    for x in (np.float32(1.5), Fraction(3, 2)):
+        got = call(x)
+        assert got == want and type(got) is type(want)
 
 
 def test_numpy_integer_exponents_do_not_wrap():
