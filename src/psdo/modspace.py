@@ -353,10 +353,22 @@ def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
 
 def _lp_reduce(a: np.ndarray, p: float, axis=None):
     """l^p norm of non-negative magnitudes a; at p = inf their max, 0.0
-    when there are none.  Every l^p norm of the package ends here."""
+    when there are none.  Every l^p norm of the package ends here.  The
+    powers are taken of a over its max, at most 1, so they neither
+    overflow nor all underflow at any p; a norm beyond the largest float
+    raises InvalidParams."""
     if math.isinf(p):
         return a.max(axis=axis, initial=0.0)
-    return (a**p).sum(axis=axis) ** (1.0 / p)
+    top = a.max(axis=axis, initial=0.0, keepdims=True)
+    scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)  # a zero, inf or NaN max is not divided out
+    terms = a / scale
+    terms **= p
+    top, scale = top.squeeze(axis), scale.squeeze(axis)
+    with np.errstate(over="ignore"):
+        norm = scale * terms.sum(axis=axis) ** (1.0 / p)
+    if np.any(np.isinf(norm) & np.isfinite(top)):
+        raise InvalidParams(f"the l^p norm at p = {p} exceeds the largest float")
+    return norm
 
 
 def lp_norm(values: np.ndarray, p: float, axis=None):

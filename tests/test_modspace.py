@@ -232,6 +232,24 @@ def test_mixed_norm_monotone_in_p(p1, p2):
     assert hi <= lo * (1 + 1e-14)
 
 
+def test_lp_norms_at_extreme_exponents():
+    # the sums of a**p underflowed or overflowed: p = 2000 read 0.757 though
+    # the p = inf value is 1.299, p = 1e308 read 0.0, and both
+    # schatten_norm(., 1000) and a norm near the weights' range limit
+    # overflowed with a RuntimeWarning
+    f = Signal.random(GridSpec(1, 5), np.random.default_rng(0))
+
+    def norm(p, omega=None):
+        return modulation_norm(f, MixedNormParams(p, 2), omega)
+
+    assert norm(math.inf) <= norm(2000) <= norm(100)
+    assert norm(1e308) == pytest.approx(norm(math.inf), rel=1e-12)
+    assert schatten_norm(np.diag([3.0, 2.0, 1.0]), 1000) == pytest.approx(3.0, rel=1e-3)
+    assert math.isfinite(norm(2, make_weight("exponential", c=200.0, s=1.0)))
+    with pytest.raises(InvalidParams, match="largest float"):
+        norm(0.001)
+
+
 def test_modulation_norm_l2(rng, grid9):
     f = Signal.random(grid9, rng)
     assert modulation_norm(f, MixedNormParams(2, 2)) == pytest.approx(f.norm(), rel=1e-12)
