@@ -213,29 +213,31 @@ class Weight:
 
     def evaluate(self, X) -> np.ndarray:
         """Pointwise values at physical coordinates X of shape (..., D)."""
-        X = np.asarray(X, dtype=float)
-        if self.kind == "polynomial":
-            (s,) = self.params
-            r2 = np.sum(X**2, axis=-1)
-            self._check_log_range(abs(s) / 2.0 * math.log1p(float(r2.max(initial=0.0))))
-            return (1.0 + r2) ** (s / 2.0)
-        if self.kind == "exponential":
-            c, s = self.params
-            r = np.sqrt(np.sum(X**2, axis=-1))
-            self._check_log_range(abs(c) * float(r.max(initial=0.0)) ** (1.0 / s))
-            return np.exp(c * r ** (1.0 / s))
-        if self.kind == "product":
-            w1, w2 = self.params
-            split = X.shape[-1] * len(w1.axes) // len(self.axes)
-            return w1.evaluate(X[..., :split]) * w2.evaluate(X[..., split:])
-        raise DomainMismatch(f"weight kind {self.kind!r} cannot be evaluated off-grid")
+        return np.exp(self._log(X))
 
-    def _check_log_range(self, log_max):
-        """InvalidParams unless log_max, the largest |log omega| over the
-        points asked for, is at most _LOG_WEIGHT_LIMIT."""
-        if not log_max <= _LOG_WEIGHT_LIMIT:
-            raise InvalidParams(f"{self.kind} weight {self.params} reaches |log omega| = {log_max:.4g} on these "
-                                f"points, beyond the float range ({_LOG_WEIGHT_LIMIT:.1f})")
+    def _log(self, X) -> np.ndarray:
+        """log omega at physical coordinates X of shape (..., D): the one
+        formula per kind, which :meth:`evaluate` and the estimators read.
+        InvalidParams unless every |log omega| is at most _LOG_WEIGHT_LIMIT."""
+        X = np.asarray(X, dtype=float)
+        with np.errstate(over="ignore"):
+            if self.kind == "polynomial":
+                (s,) = self.params
+                log = s / 2.0 * np.log1p(np.sum(X**2, axis=-1))
+            elif self.kind == "exponential":
+                c, s = self.params
+                log = c * np.sqrt(np.sum(X**2, axis=-1)) ** (1.0 / s)
+            elif self.kind == "product":
+                w1, w2 = self.params
+                split = X.shape[-1] * len(w1.axes) // len(self.axes)
+                log = w1._log(X[..., :split]) + w2._log(X[..., split:])
+            else:
+                raise DomainMismatch(f"weight kind {self.kind!r} cannot be evaluated off-grid")
+        top = np.abs(log).max(initial=0.0)
+        if not top <= _LOG_WEIGHT_LIMIT:
+            raise InvalidParams(f"{self.kind} weight {self.descriptor()['params']} reaches |log omega| = "
+                                f"{top:.4g} on these points, beyond the float range ({_LOG_WEIGHT_LIMIT:.1f})")
+        return log
 
     def sample(self, grid: GridSpec) -> np.ndarray:
         """Values on the full grid, shape (N,)*len(axes), evaluated in the
@@ -343,8 +345,7 @@ def moderate_check(omega: Weight, v: Weight, grid: GridSpec):
     over PAIR_SAMPLES fixed-seed random pairs.  Returns (finite, C_est).
     """
     _require_axes(omega.axes, v)
-    return _worst(omega.evaluate(X + Y) / (omega.evaluate(X) * v.evaluate(Y))
-                  for X, Y in _tuple_chunks(grid, omega.axes, 2))
+    return _worst(omega._log(X + Y) - omega._log(X) - v._log(Y) for X, Y in _tuple_chunks(grid, omega.axes, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +562,11 @@ def _tuple_chunks(grid, axes, blocks, seed=0):
         yield [_points(grid, axes, i) for i in picks]
 
 
-def _worst(qs):
-    """(finite, C) for the worst sampled constant C = max over the chunks
-    of q; a NaN in any chunk makes C NaN."""
-    best = float(np.max([q.max() for q in qs]))
+def _worst(logs):
+    """(finite, C) for the worst sampled constant C, the exp of the max of
+    every chunk's log C: inf past the largest float, NaN after any NaN."""
+    with np.errstate(over="ignore"):
+        best = float(np.exp(np.max([q.max() for q in logs])))
     return bool(np.isfinite(best)), best
 
 
@@ -591,7 +593,7 @@ def holds_kernel_weight_bound(omega: Weight, omega1: Weight, omega2: Weight, gri
 
     def q(X, Y):
         arg = np.concatenate([X[:, :d], Y[:, :d], X[:, d:], -Y[:, d:]], axis=1)
-        return omega2.evaluate(X) / (omega1.evaluate(Y) * omega.evaluate(arg))
+        return omega2._log(X) - omega1._log(Y) - omega._log(arg)
 
     return _worst(q(X, Y) for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
@@ -610,10 +612,9 @@ def holds_kernel_symbol_weight_equiv(omega: Weight, omega0: Weight, A, grid: Gri
     Amat = as_matrix_param(A, d).entries
 
     def q(X, Y):
-        lhs = omega.evaluate(np.concatenate([X[:, :d], Y[:, :d], X[:, d:], Y[:, d:]], axis=1))
+        lhs = omega._log(np.concatenate([X[:, :d], Y[:, :d], X[:, d:], Y[:, d:]], axis=1))
         Y[:, d:] *= -1.0  # (y, -eta)
-        rhs = omega0.evaluate(transfer_pair_coords(Y, X, Amat))
-        return np.maximum(lhs / rhs, rhs / lhs)
+        return np.abs(lhs - omega0._log(transfer_pair_coords(Y, X, Amat)))
 
     return _worst(q(X, Y) for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
@@ -628,8 +629,7 @@ def holds_wigner_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A,
     over phase points X = (x, xi), Y = (y, eta).  Returns (finite, C_est)."""
     _require_axes(SYMBOL_AXES, omega0)
     Amat = as_matrix_param(A, grid.d).entries
-    return _worst(omega0.evaluate(transfer_pair_coords(Y, X, Amat))
-                  / (omega1.evaluate(X) * omega2.evaluate(Y))
+    return _worst(omega0._log(transfer_pair_coords(Y, X, Amat)) - omega1._log(X) - omega2._log(Y)
                   for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
 
@@ -643,8 +643,7 @@ def holds_op_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A, gri
     spaces.  Returns (finite, C_est)."""
     _require_axes(SYMBOL_AXES, omega0)
     Amat = as_matrix_param(A, grid.d).entries
-    return _worst(omega2.evaluate(X)
-                  / (omega1.evaluate(Y) * omega0.evaluate(transfer_pair_coords(Y, X, Amat)))
+    return _worst(omega2._log(X) - omega1._log(Y) - omega0._log(transfer_pair_coords(Y, X, Amat))
                   for X, Y in _tuple_chunks(grid, TF_AXES, 2))
 
 
@@ -662,9 +661,7 @@ def holds_composition_weight_bound(weights, A, grid: GridSpec, seed=0):
     Amat = as_matrix_param(A, grid.d).entries
 
     def q(X):
-        prod = weights[0].evaluate(transfer_pair_coords(X[N], X[0], Amat))
-        for j in range(1, N + 1):
-            prod = prod * weights[j].evaluate(transfer_pair_coords(X[j], X[j - 1], Amat))
-        return 1.0 / prod
+        pairs = [(X[N], X[0])] + [(X[j], X[j - 1]) for j in range(1, N + 1)]
+        return -sum(w._log(transfer_pair_coords(*pair, Amat)) for w, pair in zip(weights, pairs))
 
     return _worst(q(X) for X in _tuple_chunks(grid, TF_AXES, N + 1, seed))

@@ -104,6 +104,11 @@ def test_weight_product_and_inverse():
     assert prod.evaluate(X) == pytest.approx(w1.evaluate(X[:2]) * w2.evaluate(X[2:]))
     inv = prod.inverse()
     assert inv.evaluate(X) == pytest.approx(1.0 / prod.evaluate(X))
+    # each factor's |log omega| is 450, in the float range, and their sum
+    # 900 is not: the product overflowed with a RuntimeWarning
+    big = make_weight("exponential", axes=("pos",), c=300.0, s=1.0)
+    with pytest.raises(InvalidParams, match="float range"):
+        make_weight("product", factors=(big, big)).evaluate(np.array([1.5, 1.5]))
 
 
 def test_custom_weight_sampling(grid9):
@@ -168,14 +173,14 @@ def test_moderate_check_reports_nan(monkeypatch, n):
         moderate_check(make_weight("exponential", c=800.0, s=1.0), trivial_weight(), grid)
     # a NaN ratio, here from a weight that is NaN at the origin, is reported
     # rather than dropped from the max
-    evaluate = ms.Weight.evaluate
+    log = ms.Weight._log
 
     def nan_at_origin(self, X):
-        out = evaluate(self, X)
+        out = log(self, X)
         out[np.all(X == 0.0, axis=-1)] = np.nan
         return out
 
-    monkeypatch.setattr(ms.Weight, "evaluate", nan_at_origin)
+    monkeypatch.setattr(ms.Weight, "_log", nan_at_origin)
     w = make_weight("polynomial", s=1.0)
     ok, c = moderate_check(w, w, grid)
     assert not ok and math.isnan(c)
@@ -183,10 +188,13 @@ def test_moderate_check_reports_nan(monkeypatch, n):
 
 @pytest.mark.parametrize("kind, params", [
     ("exponential", {"c": 1e308, "s": 1.0}), ("exponential", {"c": -1e308, "s": 1.0}),
-    ("polynomial", {"s": 1e308}), ("polynomial", {"s": -1e308})])
+    ("polynomial", {"s": 1e308}), ("polynomial", {"s": -1e308}),
+    ("product", {"factors": (make_weight("exponential", axes=("pos",), c=250.0, s=1.0),
+                             make_weight("exponential", axes=("freq",), c=250.0, s=1.0))})])
 def test_weights_beyond_the_float_range_are_refused(kind, params):
     # the norm overflowed with RuntimeWarnings to inf, and at c = -1e308
-    # moderate_check returned (False, nan)
+    # moderate_check returned (False, nan); each factor of the product is
+    # in range on the grid, their product is not
     grid = GridSpec(1, 5)
     w = make_weight(kind, **params)
     with pytest.raises(InvalidParams, match="float range"):
@@ -552,6 +560,18 @@ def test_exhaustive_chunks_match_one_batch(monkeypatch):
             m.setattr(psdo.grid, "_BLOCK_ENTRIES", 10**9)
             assert len(list(ms._tuple_chunks(grid, ms.TF_AXES, 3))) == 1
             assert bounds(grid) == blocked
+
+
+def test_weight_estimators_add_logs(grid9):
+    # each weight is in the float range on its points, and the estimators
+    # add their logs: the product and quotient of the values overflowed
+    # with RuntimeWarnings.  Past the largest float the constant is inf.
+    big = make_weight("exponential", axes=KERNEL_AXES, c=100.0, s=1.0)
+    assert holds_kernel_weight_bound(big, make_weight("exponential", c=140.0, s=1.0), trivial_weight(),
+                                     grid9) == (True, 1.0)
+    decaying = make_weight("exponential", c=-60.0, s=1.0)
+    w0 = make_weight("exponential", axes=SYMBOL_AXES, c=60.0, s=1.0)
+    assert holds_wigner_weight_bound(w0, decaying, decaying, 0.5, grid9) == (False, math.inf)
 
 
 def test_wigner_weight_bound_polynomial(grid9):
