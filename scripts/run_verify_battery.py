@@ -12,7 +12,8 @@ importable by the child (for example with PYTHONPATH=src).
 With --compare DIR each grid's report is also byte-compared with the file
 of the same name in DIR, the outdir of an earlier run: the script prints
 `identical`, or the names of the checks (and top-level report fields)
-whose entries differ, and exits 1 on any difference.
+whose entries differ, then one line per differing check with its old and
+new measure (repr), and exits 1 on any difference.
 
 Usage:
     python scripts/run_verify_battery.py [--seed 42] [--outdir reports] [--compare DIR]
@@ -84,6 +85,18 @@ def compare_reports(path, earlier):
     return names + fields or ["(bytes only)"]
 
 
+def measure_moves(path, earlier, names):
+    """'name old -> new' for each check among `names`, with its measure
+    (repr) in the earlier report and in this one, or (absent) where that
+    report has no such check; names that are no check are passed over."""
+    def measures(p):
+        return {c["name"]: repr(c["measure"]) for c in json.loads(pathlib.Path(p).read_text())["checks"]}
+
+    new, old = measures(path), measures(earlier)
+    return [f"{name} {old.get(name, '(absent)')} -> {new.get(name, '(absent)')}"
+            for name in names if name in new or name in old]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=42)
@@ -107,6 +120,9 @@ def main():
         if args.compare:
             diff = compare_reports(outdir / name, pathlib.Path(args.compare) / name)
             print(f"[compare {name}: {'identical' if not diff else 'differs in ' + ', '.join(diff)}]")
+            if diff and diff != ["(file missing)"]:
+                for move in measure_moves(outdir / name, pathlib.Path(args.compare) / name, diff):
+                    print(f"[compare {name}: {move}]")
             all_ok &= not diff
         print(flush=True)
     return 0 if all_ok else 1

@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from .errors import InvalidParams
-from .grid import GridSpec, Signal, Symbol, OperatorMatrix
+from .grid import GridSpec, Signal, Symbol, OperatorMatrix, _count
 from .quantizer import MatrixParam, quantize
 from .calculus import sharp
 from .modspace import MixedNormParams, modulation_norm
@@ -29,6 +29,7 @@ def run_bench(sizes, d: int, seed: int = 0) -> list:
     """Benchmark quantize, sharp, modulation_norm and singular_values."""
     if not sizes:
         raise InvalidParams("need at least one grid size")
+    seed = _count("seed", seed, minimum=0)
     rows = []
     for n in sizes:
         grid = GridSpec(d, n)

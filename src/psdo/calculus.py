@@ -114,7 +114,7 @@ def alg_hypotheses_report(exponents: ExponentTuple, weights, A, grid: GridSpec,
 
         ||a_1 # ... # a_N||_{M^{p0', q0'}_{(1/omega_0)}} / prod_j ||a_j||_{M^{pj, qj}_{(omega_j)}}.
     """
-    draws = _count("draws", draws)
+    draws, seed = _count("draws", draws), _count("seed", seed, minimum=0)
     N = len(exponents.p) - 1
     if len(weights) != N + 1:
         raise ArityMismatch(f"need {N + 1} weights for N = {N} factors, got {len(weights)}")

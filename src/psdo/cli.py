@@ -22,7 +22,7 @@ from .bench import format_csv, run_bench, scaling_note
 from .calculus import sharp
 from .errors import PsdoError, ValidationError
 from .grid import GridSpec, OperatorMatrix, Signal, Symbol, _blocks
-from .modspace import MixedNormParams, make_weight, trivial_weight, modulation_norm, _exponent
+from .modspace import MixedNormParams, trivial_weight, modulation_norm, _build_weight, _exponent
 from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_transfer
 from .schatten import schatten_norm
 from .schemes import SchemeSpec, quantize_scheme
@@ -122,7 +122,7 @@ def _weight_from_descriptor(desc):
     axes = tuple(desc.get("axes", ("pos", "freq")))
     if kind == "product" and isinstance(params.get("factors"), list):
         params = {**params, "factors": [_weight_from_descriptor(f) for f in params["factors"]]}
-    return make_weight(kind, axes=axes, **params)
+    return _build_weight(kind, axes, params)
 
 
 def _cmd_quantize(grid, inputs, params, out):
@@ -207,7 +207,10 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise ValidationError(f"--sizes wants comma-separated integers, got {args.sizes!r}") from None
     rows = run_bench(sizes, args.d, args.seed)
     csv = format_csv(rows)
     if args.out:

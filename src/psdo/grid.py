@@ -53,13 +53,23 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _count(name: str, value, error=InvalidParams) -> int:
-    """value as an int when it is an integer >= 1 and not a bool, else
+def _count(name: str, value, error=InvalidParams, minimum=1) -> int:
+    """value as an int when it is an integer >= minimum and not a bool, else
     `error` naming the parameter: the one rule for counts (grid sizes,
-    nodes, samples, draws, and the psi functions' dimension)."""
-    if not (_is_real(value) and isinstance(value, numbers.Integral)) or value < 1:
-        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    nodes, samples, draws, and the psi functions' dimension) and, at
+    minimum 0, for seeds."""
+    if not (_is_real(value) and isinstance(value, numbers.Integral)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _keys(name: str, params, allowed) -> None:
+    """InvalidParams naming each key of params that is not in the set
+    `allowed`: the one rule for parameter keys a kind does not take."""
+    stray = params.keys() - allowed
+    if stray:
+        raise InvalidParams(f"{name} takes no parameter {', '.join(sorted(map(repr, stray)))}; "
+                            f"it takes {', '.join(map(repr, sorted(allowed))) or 'none'}")
 
 
 def _real_entries(value) -> bool:

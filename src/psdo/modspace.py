@@ -32,8 +32,8 @@ from .errors import (
     SizeLimit,
     TooFewEntries,
 )
-from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_axis, _blocks, _is_real, _real,
-                   _real_number)
+from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_axis, _blocks, _count, _is_real,
+                   _keys, _real, _real_number)
 from .quantizer import as_matrix_param
 from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _column_budget, _stft_columns
 
@@ -287,12 +287,25 @@ def _weight_param(kind, params, key, minimum=None):
     return float(_real_number(f"{kind} weight parameter {key!r}", params.get(key), minimum))
 
 
+# weight kind -> the parameter keys it takes
+_WEIGHT_KEYS = {"polynomial": {"s"}, "exponential": {"c", "s"}, "product": {"factors"}, "custom": {"samples"}}
+
+
 def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
     """Build a weight descriptor; see :class:`Weight` for the formulas."""
+    return _build_weight(kind, axes, params)
+
+
+def _build_weight(kind, axes, params: dict) -> Weight:
+    """:func:`make_weight` with the parameters in one dict, as a descriptor
+    holds them: a key such as 'axes' meets the key rule, not the call."""
     axes = tuple(axes)
     for a in axes:
         if a not in ("pos", "freq"):
             raise InvalidParams(f"axis kind must be 'pos' or 'freq', got {a!r}")
+    if not (isinstance(kind, str) and kind in _WEIGHT_KEYS):
+        raise InvalidParams(f"unknown weight kind {kind!r}")
+    _keys(f"{kind} weight", params, _WEIGHT_KEYS[kind])
     if kind == "polynomial":
         return Weight("polynomial", axes, (_weight_param(kind, params, "s"),))
     if kind == "exponential":
@@ -305,12 +318,10 @@ def make_weight(kind: str, axes=TF_AXES, **params) -> Weight:
             raise InvalidParams(f"product weight needs parameter 'factors', 2 weights, got {factors!r}")
         w1, w2 = factors
         return Weight("product", w1.axes + w2.axes, (w1, w2))
-    if kind == "custom":
-        samples = np.asarray(_real("custom weight parameter 'samples'", params.get("samples")), dtype=float)
-        if not np.all(samples > 0):
-            raise InvalidParams("custom weight samples must be strictly positive")
-        return Weight("custom", axes, (samples,))
-    raise InvalidParams(f"unknown weight kind {kind!r}")
+    samples = np.asarray(_real("custom weight parameter 'samples'", params.get("samples")), dtype=float)
+    if not np.all(samples > 0):
+        raise InvalidParams("custom weight samples must be strictly positive")
+    return Weight("custom", axes, (samples,))
 
 
 def trivial_weight(axes=TF_AXES) -> Weight:
@@ -655,6 +666,7 @@ def holds_composition_weight_bound(weights, A, grid: GridSpec, seed=0):
     (finite, C_est) with C_est = 1 / min over tuples of the product.
     """
     _require_axes(SYMBOL_AXES, *weights)
+    seed = _count("seed", seed, minimum=0)
     if len(weights) < 2:
         raise ArityMismatch("need at least omega_0 and omega_1")
     N = len(weights) - 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
-from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _blocks, _count, _real, _real_number
+from .grid import Symbol, OperatorMatrix, rep_axis, rep_coords, _blocks, _count, _keys, _real, _real_number
 from .quantizer import MatrixParam, quantize, _kernel_formula, _quantize_average
 from .wigner import FOURD_LIMIT
 
@@ -39,7 +39,9 @@ __all__ = [
     "sphere_average_exp",
 ]
 
-_KINDS = ("kn", "weyl", "t", "born_jordan", "un_avg", "un_avg_time")
+# scheme kind -> the parameter keys it takes
+_KINDS = {"kn": set(), "weyl": set(), "t": {"t"}, "born_jordan": set(), "un_avg": {"r", "angle_nodes"},
+          "un_avg_time": {"r", "t_nodes", "angle_nodes"}}
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,13 @@ class SchemeSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _KINDS):
             raise InvalidParams(f"unknown scheme kind {self.kind!r}")
         p = dict(self.params)
+        if self.kind == "born_jordan" and "quad_nodes" in p:
+            raise InvalidParams("born_jordan averages over t exactly and takes no quad_nodes; "
+                                "the quadrature is born_jordan_quadrature(nodes=...)")
+        _keys(f"{self.kind} scheme", p, _KINDS[self.kind])
         for key, minimum in (("t", None), ("r", 0)):
             if key in p:
                 _real_number(f"scheme parameter {key!r}", p[key], minimum)
@@ -65,9 +71,6 @@ class SchemeSpec:
                 _count(f"scheme parameter {key!r}", p[key])
         if self.kind == "t":
             p.setdefault("t", 0.5)
-        if self.kind == "born_jordan" and "quad_nodes" in p:
-            raise InvalidParams("born_jordan averages over t exactly and takes no quad_nodes; "
-                                "the quadrature is born_jordan_quadrature(nodes=...)")
         if self.kind in ("un_avg", "un_avg_time"):
             p.setdefault("r", 0.0)
             p.setdefault("angle_nodes", 64)
@@ -101,7 +104,7 @@ def bj_multiplier(theta):
     multiplier relative to the Weyl calculus; below |theta| < 1e-4 the
     series 1 - u^2/6 + u^4/120 - u^6/5040 in u = theta/2 (Horner in u^2),
     evaluated on those entries only, avoids the cancellation."""
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(_real("theta", theta), dtype=float)
     u = theta / 2.0
     small = np.abs(theta) < 1e-4
     out = np.divide(np.sin(u), u, out=np.empty_like(u), where=~small)
@@ -335,9 +338,17 @@ def un_avg_multiplier(d: int, r: float, m_vec, c_vec, angle_nodes: int = 64) -> 
     exact two-point average cos(r m c))."""
     _real_number("r", r, minimum=0)
     mats, wts = _orthogonal_nodes(d, angle_nodes)
-    m_vec = np.atleast_1d(np.asarray(_real("m_vec", m_vec), dtype=float))
-    c_vec = np.atleast_1d(np.asarray(_real("c_vec", c_vec), dtype=float))
+    m_vec, c_vec = _vector("m_vec", m_vec, d), _vector("c_vec", c_vec, d)
     return complex(sum(w * np.exp(1j * r * (U @ m_vec) @ c_vec) for U, w in zip(mats, wts)))
+
+
+def _vector(name: str, value, d: int) -> np.ndarray:
+    """value as a float d-vector (a number at d=1), else InvalidParams
+    naming the parameter."""
+    vector = np.atleast_1d(np.asarray(_real(name, value), dtype=float))
+    if vector.shape != (d,):
+        raise InvalidParams(f"{name} must be {d} real entries, got {value!r}")
+    return vector
 
 
 def sphere_average_exp(rho: float, samples: int = 10**6, seed: int = 0) -> float:
@@ -349,7 +360,7 @@ def sphere_average_exp(rho: float, samples: int = 10**6, seed: int = 0) -> float
     block by block (see :func:`_stratified_angles`).  `samples` must be an
     integer >= 1, and rho finite and small enough that the sum cannot overflow.
     """
-    samples = _count("samples", samples)
+    samples, seed = _count("samples", samples), _count("seed", seed, minimum=0)
     if abs(_real_number("rho", rho)) + math.log(samples) > math.log(np.finfo(float).max):
         raise InvalidParams(f"rho {rho!r} can overflow the sum of {samples} samples")
     total = 0.0

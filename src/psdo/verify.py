@@ -38,6 +38,7 @@ from .grid import (
     idft,
     index_coords,
     rep_coords,
+    _count,
     _partial_dft_core,
 )
 from .quantizer import (
@@ -907,7 +908,7 @@ def _run_suite(suite, n, d, seed, threads=None):
     # validates n and d; SizeLimit before any check allocates when not one
     # STFT column of N^2 entries fits the budget
     _check_columns(GridSpec(d, n))
-    ctx = Context(n, d, seed)
+    ctx = Context(n, d, _count("seed", seed, minimum=0))
     selected = [c for c in CHECKS if suite == "all" or c.suite == suite]
     if threads is None:
         raw = os.environ.get("PSDO_THREADS", "1")
@@ -931,7 +932,7 @@ def _run_suite(suite, n, d, seed, threads=None):
         "suite": suite,
         "n": n,
         "d": d,
-        "seed": seed,
+        "seed": ctx.seed,
         "checks": results,
         "passed": all(r["passed"] for r in results),
     }

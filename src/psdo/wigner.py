@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ModeMismatch, SizeLimit, ZeroWindow
+from .errors import DimMismatch, ModeMismatch, SizeLimit, ZeroWindow
 from .grid import (
     GridSpec,
     Signal,
@@ -55,7 +55,11 @@ class TimeFrequencyArray(_GridArray):
     """Array over Z_n^d x Z_n^d (position x frequency)."""
 
 
-def _check_window(phi: np.ndarray):
+def _check_window(phi: np.ndarray, shape):
+    """DimMismatch unless the window phi has the data's `shape` (a window on
+    another grid), ZeroWindow if it is identically zero."""
+    if phi.shape != shape:
+        raise DimMismatch(f"window has shape {phi.shape}, expected {shape}: the window and data grids differ")
     if not np.any(phi):
         raise ZeroWindow("window is identically zero")
 
@@ -65,7 +69,7 @@ def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
 
     l2 isometry up to the window norm: ||V_phi f||_2 = ||phi||_2 ||f||_2.
     """
-    _check_window(phi.data)
+    _check_window(phi.data, f.data.shape)
     grid = f.grid
     n, d = grid.n, grid.d
     # M[j, y] = f(y) conj(phi(y - j)): the windows of the 2-periodic tiling
@@ -165,7 +169,7 @@ def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
     drops every array of a block before it asks for the next one, so at
     most one block per stream is alive.
     """
-    _check_window(Phi)
+    _check_window(Phi, F.shape)
     d, N = grid.d, grid.size
     shape = (grid.n,) * (2 * d)
     Fhat = np.tile(_fftn(F.reshape(shape)), (1,) * d + (2,) * d)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -42,6 +43,34 @@ def test_compare_reports(tmp_path, battery):
     spaced = _write(tmp_path / "spaced.json", base, indent=1)
     assert battery.compare_reports(spaced, old) == ["(bytes only)"]
     assert battery.compare_reports(old, tmp_path / "absent.json") == ["(file missing)"]
+
+
+def test_compare_prints_each_moved_measure(tmp_path, battery, monkeypatch, capsys):
+    # --compare names the checks that differ, then prints each one's old and
+    # new measure, so a last-bit move reads off one run
+    def report(measures):
+        base = _report(measures)
+        for c in base["checks"]:
+            c["skipped"] = False
+        return base
+
+    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+    old_dir.mkdir()
+    _write(old_dir / "verify_n9_d1.json", report({"a": 1e-16, "b": 2e-16}))
+
+    def run_grid(n, d, seed, outdir):
+        _write(outdir / f"verify_n{n}_d{d}.json", report({"a": 1e-16, "b": 2.5e-16, "new": 0.0}))
+        return 0, 0.1, 1.0, 0
+
+    monkeypatch.setattr(battery, "run_grid", run_grid)
+    monkeypatch.setattr(battery, "BATTERY", [(9, 1)])
+    monkeypatch.setattr(sys, "argv", ["run_verify_battery.py", "--outdir", str(new_dir), "--compare", str(old_dir)])
+    assert battery.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "[compare verify_n9_d1.json: differs in b, new]" in out
+    assert "[compare verify_n9_d1.json: b 2e-16 -> 2.5e-16]" in out
+    assert "[compare verify_n9_d1.json: new (absent) -> 0.0]" in out
+    assert not any(": a " in line for line in out)
 
 
 def test_run_grid_reports_faults(tmp_path, battery, monkeypatch):

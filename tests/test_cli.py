@@ -423,6 +423,21 @@ def test_bench_csv_shape(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "schatten", "--n", "3", "--seed", "-1"], "seed"),
+    (["bench", "--sizes", "3", "--seed", "-1"], "seed"),
+    (["bench", "--sizes", "a"], "--sizes"),
+    (["bench", "--sizes", "3,b"], "--sizes"),
+])
+def test_bad_seeds_and_sizes_exit_3(tmp_path, capsys, monkeypatch, argv, needle):
+    # numpy's or int()'s raw ValueError, with a traceback, not exit 3; no
+    # report is written
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 3 and needle in err and stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_wall_times_grow_with_n():
     from psdo.bench import run_bench
 
@@ -549,6 +564,15 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("schatten", {"p": 0}, "InvalidExponent: parameter 'p'"),
     # exp(1e308 |X|) overflowed with RuntimeWarnings to an infinite norm
     ("modnorm", {"weight": {"kind": "exponential", "params": {"c": 1e308, "s": 1}}}, "float range"),
+    # a key the kind does not take was ignored, or, named axes or kind,
+    # died with a raw TypeError
+    ("scheme", {"scheme": {"kind": "un_avg", "params": {"r": 0.5, "angle_node": 2}}}, "'angle_node'"),
+    ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": 1, "sigma": 2}}}, "'sigma'"),
+    ("modnorm", {"weight": {"kind": "polynomial", "params": {"s": 1, "axes": ["pos"]}}}, "'axes'"),
+    ("modnorm", {"weight": {"kind": "exponential", "params": {"c": 1, "s": 1, "kind": "x"}}}, "'kind'"),
+    ("modnorm", {"weight": {"kind": "product", "params": {"factors": [
+        {"kind": "polynomial", "axes": ["pos"], "params": {"s": 1}},
+        {"kind": "polynomial", "axes": ["freq"], "params": {"s": 1, "t": 0}}]}}}, "'t'"),
 ])
 def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
     g = GridSpec(1, 9)

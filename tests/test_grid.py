@@ -12,8 +12,8 @@ from psdo import GridSpec, Signal, Symbol, dft, idft, partial_dft, frac_shift, g
 from psdo.errors import DimMismatch, InvalidDimension, InvalidParams
 from psdo.modspace import make_weight
 from psdo.quantizer import MatrixParam, as_matrix_param
-from psdo.schemes import (SchemeSpec, psi, psi0, psi_alternating, sphere_average_exp, un_avg_multiplier,
-                          un_avg_multiplier_grid)
+from psdo.schemes import (SchemeSpec, bj_multiplier, psi, psi0, psi_alternating, sphere_average_exp,
+                          un_avg_multiplier, un_avg_multiplier_grid)
 from psdo.grid import CACHE_SIZE, _BLOCK_ENTRIES, _blocks, _coords, _rel_index, rel_index, rep_axis
 
 from reference import naive_dft
@@ -190,6 +190,8 @@ _REAL_PARAMS = {
     "un_avg_multiplier_m": (lambda v: un_avg_multiplier(2, 0.5, [v, 0], [0, 1], angle_nodes=4), "m_vec", False, False),
     "un_avg_multiplier_c": (lambda v: un_avg_multiplier(2, 0.5, [1, 0], [0, v], angle_nodes=4), "c_vec", False, False),
     "un_avg_multiplier_grid": (lambda v: un_avg_multiplier_grid(GridSpec(1, 3), v, angle_nodes=4), "r", True, True),
+    "bj_multiplier": (lambda v: bj_multiplier(v), "theta", False, False),
+    "bj_multiplier_entry": (lambda v: bj_multiplier([0.5, v]), "theta", False, False),
     # the dimension of the psi functions is a count, refused with InvalidDimension
     "psi_dimension": (lambda v: psi(v, 1.0), "dimension", True, True),
     "psi0_dimension": (lambda v: psi0(v, 1.0), "dimension", True, True),
@@ -225,6 +227,9 @@ _BAD_SHAPES = {
     "frac_shift_ragged": (lambda: frac_shift(_F, _RAGGED), "shift"),
     "MatrixParam_ragged": (lambda: MatrixParam(_RAGGED), "matrix parameter"),
     "as_matrix_param_ragged": (lambda: as_matrix_param(_RAGGED, 2), "matrix parameter A"),
+    "un_avg_multiplier_lengths": (lambda: un_avg_multiplier(2, 0.5, [1, 2, 3], [1, 2]), "m_vec"),
+    "un_avg_multiplier_c_length": (lambda: un_avg_multiplier(2, 0.5, [1, 2], [1]), "c_vec"),
+    "un_avg_multiplier_d1": (lambda: un_avg_multiplier(1, 0.5, [1, 2], [1, 2]), "m_vec"),
 }
 
 
@@ -234,6 +239,45 @@ def test_parameter_shapes_are_refused_by_name(entry):
     call, name = _BAD_SHAPES[entry]
     with pytest.raises(InvalidParams, match=name):
         call()
+
+
+# entry point -> (call with a parameter key its kind does not take, the key)
+_STRAY_KEYS = {
+    "un_avg_angle_node": (lambda: SchemeSpec("un_avg", {"r": 0.5, "angle_node": 2}), "'angle_node'"),
+    "weyl_t": (lambda: SchemeSpec("weyl", {"t": 0.5}), "'t'"),
+    "t_r": (lambda: SchemeSpec("t", {"t": 0.5, "r": 1.0}), "'r'"),
+    "polynomial_sigma": (lambda: make_weight("polynomial", s=1.0, sigma=2.0), "'sigma'"),
+    "exponential_factors": (lambda: make_weight("exponential", c=1.0, s=1.0, factors=()), "'factors'"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_STRAY_KEYS))
+def test_parameter_keys_a_kind_does_not_take_are_refused(entry):
+    # the key was ignored, and the default or the other keys ran
+    call, key = _STRAY_KEYS[entry]
+    with pytest.raises(InvalidParams, match=f"takes no parameter {key}"):
+        call()
+
+
+@pytest.mark.parametrize("value", [-1, True, 2.5, "3", None])
+def test_seeds_are_integers_of_at_least_zero(value):
+    # numpy's raw ValueError ("expected non-negative integer") or, for a
+    # seed the draw never reached, no error at all
+    from psdo.bench import run_bench
+    from psdo.calculus import alg_hypotheses_report
+    from psdo.modspace import SYMBOL_AXES, ExponentTuple, holds_composition_weight_bound, trivial_weight
+    from psdo.verify import run_suite
+
+    ones = [trivial_weight(SYMBOL_AXES)] * 3
+    calls = (lambda: sphere_average_exp(1.0, samples=10, seed=value),
+             lambda: alg_hypotheses_report(ExponentTuple(p=(2, 2, 2), q=(2, 2, 2)), ones, 0.5, GridSpec(1, 3),
+                                           draws=1, seed=value),
+             lambda: holds_composition_weight_bound(ones, 0.5, GridSpec(1, 3), seed=value),
+             lambda: run_suite("schatten", 3, 1, value),
+             lambda: run_bench([3], 1, value))
+    for call in calls:
+        with pytest.raises(InvalidParams, match="seed must be an integer >= 0"):
+            call()
 
 
 def test_valid_real_parameters_keep_their_value_and_type():

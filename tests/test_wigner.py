@@ -18,7 +18,7 @@ from psdo import (
     expop_stft_check,
 )
 from psdo.wigner import phase_space_stft, FOURD_LIMIT, TimeFrequencyArray, _stft_columns
-from psdo.modspace import SYMBOL_AXES, MixedNormParams, make_weight, symbol_modulation_norm
+from psdo.modspace import SYMBOL_AXES, MixedNormParams, make_weight, modulation_norm, symbol_modulation_norm
 from psdo.errors import DimMismatch, ModeMismatch, SizeLimit, ZeroWindow
 
 from reference import naive_stft, naive_wigner_mod, naive_phase_space_stft
@@ -57,6 +57,18 @@ def test_stft_shift_covariance(rng, grid9):
 def test_stft_zero_window(grid9, rng):
     with pytest.raises(ZeroWindow):
         stft(Signal.random(grid9, rng), Signal(grid9, np.zeros(9)))
+
+
+def test_window_on_another_grid_is_refused(grid9, rng):
+    # a window on n=5 against data on n=9 died in reshape with numpy's raw
+    # ValueError
+    f, a = Signal.random(grid9, rng), Symbol.random(grid9, rng)
+    small = GridSpec(1, 5)
+    phi, Phi = Signal.random(small, rng), Symbol.random(small, rng)
+    for call in (lambda: stft(f, phi), lambda: modulation_norm(f, MixedNormParams(2, 2), phi=phi),
+                 lambda: symbol_modulation_norm(a, MixedNormParams(2, 2), Phi=Phi)):
+        with pytest.raises(DimMismatch, match="window"):
+            call()
 
 
 def test_wigner_matches_naive_mod(rng):
