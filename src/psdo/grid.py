@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidParams
+from .errors import DimMismatch, InvalidParams, ZeroWindow
 
 __all__ = [
     "GridSpec",
@@ -161,6 +161,19 @@ class _GridArray:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
+
+
+def _check_window(phi: _GridArray, data: _GridArray, window=True):
+    """DimMismatch unless the grid array phi has the rank of `data` and lies
+    on its grid (d, n); the modes may differ.  The one rule for a window and
+    for a second signal (window=False).  A window that is identically zero
+    raises ZeroWindow; a second signal may be zero."""
+    what = "window" if window else "second signal"
+    if (phi.grid.d, phi.grid.n, phi.rank) != (data.grid.d, data.grid.n, data.rank):
+        raise DimMismatch(f"{what} has rank {phi.rank} on (d, n) = ({phi.grid.d}, {phi.grid.n}), expected "
+                          f"rank {data.rank} on ({data.grid.d}, {data.grid.n}): the {what} and data grids differ")
+    if window and not np.any(phi.data):
+        raise ZeroWindow("window is identically zero")
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,10 @@ from .errors import (
     SizeLimit,
     TooFewEntries,
 )
-from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_axis, _blocks, _count, _is_real,
-                   _keys, _real, _real_number)
+from .grid import (GridSpec, Signal, Symbol, gaussian_window, rep_axis, _blocks, _count, _is_real, _keys, _real,
+                   _real_number)
 from .quantizer import as_matrix_param
-from .wigner import FOURD_LIMIT, TimeFrequencyArray, stft, _column_budget, _stft_columns
+from .wigner import FOURD_LIMIT, TimeFrequencyArray, _column_budget, _stft_columns
 
 __all__ = [
     "INF",
@@ -403,43 +403,38 @@ def mixed_norm(F, params: MixedNormParams, omega: Weight = None) -> float:
 
 def modulation_norm(f: Signal, params: MixedNormParams, omega: Weight = None,
                     phi: Signal = None) -> float:
-    """Mixed norm of the STFT; default window is the periodized Gaussian."""
-    if phi is None:
-        phi = gaussian_window(f.grid)
-    return mixed_norm(stft(f, phi), params, omega)
+    """Mixed norm of the STFT, weighted by a 2-block weight, under the
+    periodized Gaussian by default: see :func:`_modulation_norms`."""
+    return _modulation_norms(f, (params,), omega, phi)[0]
 
 
 def symbol_modulation_norm(a: Symbol, params: MixedNormParams, omega: Weight = None,
                            Phi: Symbol = None) -> float:
-    """Modulation norm of a symbol over the doubled grid.
-
-    Inner p over the 2d position block (x, xi), outer q over the 2d
-    frequency block (eta, y), weighted by a 4-block weight.  Streams the STFT
-    by frequency columns, one inner norm each, with the weight evaluated on
-    each block; all N^4 entries are capped.
-    """
-    return _symbol_modulation_norms(a, (params,), omega, Phi)[0]
+    """Modulation norm of a symbol over the doubled grid: inner p over the
+    translations (x, xi), outer q over the frequencies (eta, y), weighted
+    by a 4-block weight; see :func:`_modulation_norms`."""
+    return _modulation_norms(a, (params,), omega, Phi)[0]
 
 
-def _symbol_modulation_norms(a: Symbol, params_seq, omega: Weight = None, Phi: Symbol = None) -> list:
-    """:func:`symbol_modulation_norm` for each of `params_seq`, every inner
-    norm taken from the same block of frequency columns, so the STFT is
-    streamed once."""
-    grid = a.grid
-    N = grid.size
-    if _column_budget(grid) < N * N:
-        raise SizeLimit(f"symbol norm reads all {N * N} STFT columns, {N**4} entries (cap {FOURD_LIMIT})")
-    if Phi is None:
-        Phi = Symbol(grid, gaussian_window(doubled(grid)).data.reshape(N, N))
-    if omega is None:
-        omega = trivial_weight(SYMBOL_AXES)
-    if len(omega.axes) != 4:
-        raise DomainMismatch(f"symbol norm needs a 4-block weight, got {len(omega.axes)} blocks")
-    inner = np.empty((len(params_seq), N * N))
-    for k, V in _stft_columns(a.data, Phi.data, grid):
-        weighted = np.abs(V).reshape(len(k), N * N)
+def _modulation_norms(F, params_seq, omega: Weight = None, window=None) -> list:
+    """The modulation norm of the Signal or Symbol F for each of
+    `params_seq`: inner p over the translations and outer q over the
+    frequencies of its STFT under `window` (the periodized Gaussian by
+    default), weighted by `omega`, 2 blocks per rank.  One stream of
+    frequency columns serves every norm, the weight evaluated per block.
+    A symbol's N^4 entries are capped (SizeLimit), a signal's N^2 are not."""
+    grid, rank, M = F.grid, F.rank, F.data.size
+    if rank == 2 and _column_budget(grid) < M:
+        raise SizeLimit(f"symbol norm reads all {M} STFT columns, {M**2} entries (cap {FOURD_LIMIT})")
+    if window is None:
+        window = type(F)(grid, gaussian_window(GridSpec(grid.d * rank, grid.n)).data.reshape(F.data.shape))
+    if omega is not None and len(omega.axes) != 2 * rank:
+        raise DomainMismatch(f"a rank-{rank} norm needs a {2 * rank}-block weight, got {len(omega.axes)} blocks")
+    inner = np.empty((len(params_seq), M))
+    for k, V in _stft_columns(F, window):
+        weighted = np.abs(V).reshape(len(k), M)
         del V  # |V| is all the norms read
-        if not omega.trivial:
+        if not (omega is None or omega.trivial):
             weighted *= _column_weights(omega, grid, k)
         for row, params in zip(inner, params_seq):
             row[k] = _lp_reduce(weighted, params.p, axis=1)
@@ -448,13 +443,16 @@ def _symbol_modulation_norms(a: Symbol, params_seq, omega: Weight = None, Phi: S
 
 
 def _column_weights(omega: Weight, grid: GridSpec, k: np.ndarray) -> np.ndarray:
-    """omega(x, xi, eta, y) at the frequency columns k = (eta, y) of a
-    4-block weight, shape (len(k), N^2) over the translations (x, xi)."""
-    N = grid.size
+    """omega at the frequency columns k of a 2r-block weight, shape
+    (len(k), N^r) over the translations: its first r blocks are the
+    translation and its last r the frequency, so TF_AXES splits as
+    (pos | freq) and SYMBOL_AXES as (pos, freq | freq, pos)."""
+    r = len(omega.axes) // 2
+    T = grid.size**r
     if omega.kind == "custom":
-        return omega.sample(grid).reshape(N * N, N * N)[:, k].T
-    X = _points(grid, omega.axes[:2], np.arange(N * N))[None]
-    Y = _points(grid, omega.axes[2:], k)[:, None]
+        return omega.sample(grid).reshape(T, T)[:, k].T
+    X = _points(grid, omega.axes[:r], np.arange(T))[None]
+    Y = _points(grid, omega.axes[r:], k)[:, None]
     return omega.evaluate(np.concatenate(np.broadcast_arrays(X, Y), axis=-1))
 
 

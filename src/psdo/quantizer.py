@@ -50,6 +50,7 @@ from .grid import (
     rel_index,
     _block_axes,
     _blocks,
+    _check_window,
     _fftn,
     _partial_dft_core,
     _real,
@@ -329,7 +330,9 @@ def rank_one_symbol(f1: Signal, f2: Signal, A) -> Symbol:
     """Symbol whose Op_A image is the rank-one operator g -> (g, f2) f1.
 
     Equals n^{d/2} times the A-Wigner distribution of (f1, f2); quantizing
-    it returns the outer-product matrix f1 f2^* exactly.
+    it returns the outer-product matrix f1 f2^* exactly.  f2 must lie on
+    the grid of f1 (DimMismatch otherwise).
     """
+    _check_window(f2, f1, window=False)
     outer = OperatorMatrix(f1.grid, np.outer(f1.data, np.conj(f2.data)))
     return dequantize(outer, A)

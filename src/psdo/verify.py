@@ -689,7 +689,7 @@ def _s_embedding_ratios(ctx):
     for _ in range(draws):
         a = _unit_symbol(grid, rng)
         s2 = symbol_schatten_norm(a, A, 2)
-        m11, minf = ms._symbol_modulation_norms(a, (lo, hi))
+        m11, minf = ms._modulation_norms(a, (lo, hi))
         yield s2 / m11
         yield minf / s2
 

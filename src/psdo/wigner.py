@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimMismatch, ModeMismatch, SizeLimit, ZeroWindow
+from .errors import ModeMismatch, SizeLimit
 from .grid import (
     GridSpec,
     Signal,
@@ -23,6 +23,7 @@ from .grid import (
     doubled,
     _GridArray,
     _blocks,
+    _check_window,
     _fftn,
 )
 from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer
@@ -55,33 +56,18 @@ class TimeFrequencyArray(_GridArray):
     """Array over Z_n^d x Z_n^d (position x frequency)."""
 
 
-def _check_window(phi: np.ndarray, shape):
-    """DimMismatch unless the window phi has the data's `shape` (a window on
-    another grid), ZeroWindow if it is identically zero."""
-    if phi.shape != shape:
-        raise DimMismatch(f"window has shape {phi.shape}, expected {shape}: the window and data grids differ")
-    if not np.any(phi):
-        raise ZeroWindow("window is identically zero")
-
-
 def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
     """V_phi f(j, k) = n^{-d/2} sum_y f(y) conj(phi(y-j)) e^{-2i pi <y,k>/n}.
 
     l2 isometry up to the window norm: ||V_phi f||_2 = ||phi||_2 ||f||_2.
+    The frequency columns k of :func:`_stft_columns`, written into one
+    (N, N) array.
     """
-    _check_window(phi.data, f.data.shape)
-    grid = f.grid
-    n, d = grid.n, grid.d
-    # M[j, y] = f(y) conj(phi(y - j)): the windows of the 2-periodic tiling
-    # of conj(phi) starting at n - j, so no (N, N) index array is built
-    tiled = np.tile(np.conj(phi.data).reshape(grid.shape), (2,) * d)
-    windows = sliding_window_view(tiled, grid.shape)[(slice(n, 0, -1),) * d]
-    V = np.multiply(f.data.reshape(grid.shape), windows, order="C")
-    # V is a fresh buffer, so the FFT over the frequency block runs in place
-    # and V is the only array of the output's size that is ever alive
-    np.fft.fftn(V, axes=tuple(range(d, 2 * d)), out=V)
-    V /= np.sqrt(grid.size)
-    return TimeFrequencyArray(grid, V.reshape(grid.size, grid.size))
+    N = f.grid.size
+    V = np.empty((N, N), dtype=np.complex128)
+    for k, block in _stft_columns(f, phi):
+        V[:, k] = block.T
+    return TimeFrequencyArray(f.grid, V)
 
 
 def _integer_matrix(grid: GridSpec, A) -> np.ndarray:
@@ -152,50 +138,53 @@ def phase_space_stft(F: np.ndarray, Phi: np.ndarray, grid: GridSpec) -> np.ndarr
     return V.reshape((N,) * 4)
 
 
-def _stft_columns(F: np.ndarray, Phi: np.ndarray, grid: GridSpec, columns=None):
-    """Blocks (k, V) of frequency columns of :func:`phase_space_stft`, as a
-    generator.
+def _stft_columns(F, Phi, columns=None):
+    """Blocks (k, V) of frequency columns of the STFT of the grid array F
+    under the window Phi, as a generator: the package's one STFT.
 
-    k holds flat frequency indices over (eta, y), all N^2 of them in order
-    unless `columns` names some; V[b] is the (N, N) column at k[b] over the
-    translations (x, xi); ``grid._blocks`` splits the columns, N^2 entries
-    each.  Column k is the cyclic cross-correlation ifftn(F^(. + k)
-    conj(Phi^)) / N of two FFTs done here, once: F^ tiled twice along its
-    last d axes (2^d spectra), where a column's shift is a window, and the
-    window spectrum conj(Phi^) / N, which carries the scale.
-    The generator keeps only those, so no (N,)*4 array is ever built.
+    F and Phi, a Signal, Symbol or TimeFrequencyArray of one grid and rank
+    (see :func:`_check_window`), are read as signals on Z_n^D, D = d rank,
+    of M = F.data.size points, so a Signal's columns are :func:`stft`'s
+    and a symbol's are :func:`phase_space_stft`'s.  k holds flat frequency
+    indices, all M of them in order unless `columns` names some; V[b] is
+    the column at k[b] over the translations, shaped like F.data;
+    ``grid._blocks`` splits the columns, M entries each.  Column k is the
+    cyclic cross-correlation ifftn(F^(. + k) conj(Phi^)) / sqrt(M) of two
+    FFTs done here, once: F^ tiled twice along its last D - D//2 axes
+    (2^(D - D//2) spectra), where a column's shift is a window, and the
+    window spectrum conj(Phi^) / sqrt(M), which carries the scale.
+    The generator keeps only those, so no (M, M) array is ever built.
 
     The generator holds no block once it has handed it out.  A consumer
     drops every array of a block before it asks for the next one, so at
     most one block per stream is alive.
     """
-    _check_window(Phi, F.shape)
-    d, N = grid.d, grid.size
-    shape = (grid.n,) * (2 * d)
-    Fhat = np.tile(_fftn(F.reshape(shape)), (1,) * d + (2,) * d)
-    windows = sliding_window_view(Fhat, shape[d:], axis=tuple(range(d, 2 * d)))
-    Phihat = np.conj(_fftn(Phi.reshape(shape)))
-    Phihat /= N
-    ks = np.arange(N**2) if columns is None else np.asarray(columns)
-    return (_column_block(windows, Phihat, ks[s]) for s in _blocks(len(ks), N**2))
+    _check_window(Phi, F)
+    n, D, M = F.grid.n, F.grid.d * F.rank, F.data.size
+    shape, h = (n,) * D, D // 2
+    Fhat = np.tile(_fftn(F.data.reshape(shape)), (1,) * h + (2,) * (D - h))
+    windows = sliding_window_view(Fhat, shape[h:], axis=tuple(range(h, D)))
+    Phihat = np.conj(_fftn(Phi.data.reshape(shape)))
+    Phihat /= np.sqrt(M)
+    ks = np.arange(M) if columns is None else np.asarray(columns)
+    return (_column_block(windows, Phihat, ks[s], F.data.shape) for s in _blocks(len(ks), M))
 
 
-def _column_block(windows: np.ndarray, Phihat: np.ndarray, k: np.ndarray):
-    """Columns k of the doubled-grid STFT from the windows of its symbol's
-    FFT and from the scaled conjugated window spectrum: the shift
-    (m_i + k_i) mod n is a per-axis index on the first d axes and the window
-    that starts at k_i on the last d."""
+def _column_block(windows: np.ndarray, Phihat: np.ndarray, k: np.ndarray, shape):
+    """Columns k, each of the given shape, of the STFT from the windows of
+    its signal's FFT and from the scaled conjugated window spectrum: the
+    shift (m_i + k_i) mod n is a per-axis index on the first D//2 axes and
+    the window that starts at k_i on the rest."""
     n, D = Phihat.shape[0], Phihat.ndim
-    d = D // 2
+    h = D // 2
     k_axes = np.unravel_index(k, Phihat.shape)
-    idx = tuple(((np.arange(n) + k_i[:, None]) % n).reshape((len(k),) + (1,) * i + (n,) + (1,) * (d - 1 - i))
-                for i, k_i in enumerate(k_axes[:d]))
-    starts = tuple(k_i.reshape((len(k),) + (1,) * d) for k_i in k_axes[d:])
+    idx = tuple(((np.arange(n) + k_i[:, None]) % n).reshape((len(k),) + (1,) * i + (n,) + (1,) * (h - 1 - i))
+                for i, k_i in enumerate(k_axes[:h]))
+    starts = tuple(k_i.reshape((len(k),) + (1,) * h) for k_i in k_axes[h:])
     V = windows[idx + starts]
     V *= Phihat
     np.fft.ifftn(V, axes=tuple(range(1, D + 1)), out=V)
-    N = n**d
-    return k, V.reshape(len(k), N, N)
+    return k, V.reshape((len(k),) + shape)
 
 
 def _check_columns(grid: GridSpec):
@@ -230,7 +219,7 @@ def stft_of_wigner_check(f, g, phi, psi, A) -> float:
     Bint = Aint - np.eye(grid.d, dtype=np.int64)
     coords = index_coords(grid)
     block_max = []
-    for k, lhs in _stft_columns(wigner(f, g, A).data, wigner(phi, psi, A).data, grid, columns):
+    for k, lhs in _stft_columns(wigner(f, g, A), wigner(phi, psi, A), columns):
         eta, y = k // N, k % N
         rhs = Vf[_shear(grid, -Aint, y)[:, :, None], _shear(grid, -Bint.T, eta)[:, None, :]]
         rhs *= np.exp(-2j * np.pi * ((coords[y] @ coords.T) % n) / n)[:, None, :]  # e^{-2i pi <y, xi>/n}
@@ -263,8 +252,8 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
     N, n = grid.size, grid.n
     coords = index_coords(grid)
     block_max = []
-    lhs_columns = _stft_columns(symbol_transfer(a, A).data, symbol_transfer(phi, A).data, grid, columns)
-    for k, V in _stft_columns(a.data, phi.data, grid, columns):
+    lhs_columns = _stft_columns(symbol_transfer(a, A), symbol_transfer(phi, A), columns)
+    for k, V in _stft_columns(a, phi, columns):
         eta, y = k // N, k % N
         dot = np.sum((coords[y] @ Aint.T) * coords[eta], axis=1) % n  # <A y, eta>
         rhs = V[np.arange(len(k))[:, None, None], _shear(grid, Aint, y)[:, :, None],

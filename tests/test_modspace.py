@@ -37,7 +37,7 @@ from psdo.modspace import (
     holds_op_weight_bound,
     holds_composition_weight_bound,
     lp_norm,
-    _symbol_modulation_norms,
+    _modulation_norms,
 )
 from psdo.grid import rep_axis
 from psdo.schatten import duality_check, hoelder_check, schatten_norm
@@ -350,7 +350,7 @@ def test_symbol_modulation_norms_share_one_stream(rng, n, d):
     a = Symbol.random(g, rng)
     lo, hi = MixedNormParams(1, 1), MixedNormParams(math.inf, math.inf)
     for omega in (None, make_weight("polynomial", axes=SYMBOL_AXES, s=1.0)):
-        assert _symbol_modulation_norms(a, (lo, hi), omega) == [
+        assert _modulation_norms(a, (lo, hi), omega) == [
             symbol_modulation_norm(a, lo, omega), symbol_modulation_norm(a, hi, omega)]
 
 

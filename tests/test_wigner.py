@@ -205,7 +205,7 @@ def test_stft_columns_match_dense(rng):
         V4 = phase_space_stft(F, Phi, g).reshape(N * N, N * N)
         for columns in (None, [N * N - 1, 0, 5, N * N // 2]):
             seen = []
-            for k, V in _stft_columns(F, Phi, g, columns):
+            for k, V in _stft_columns(Symbol(g, F), Symbol(g, Phi), columns):
                 np.testing.assert_allclose(V.reshape(len(k), N * N).T, V4[:, k], atol=1e-13)
                 seen += list(k)
             assert seen == (list(range(N * N)) if columns is None else columns)
