@@ -21,7 +21,7 @@ from .arrays import read_array, write_array
 from .bench import format_csv, run_bench, scaling_note
 from .calculus import sharp
 from .errors import PsdoError, ValidationError
-from .grid import GridSpec, OperatorMatrix, Signal, Symbol, _blocks
+from .grid import GridSpec, OperatorMatrix, Signal, Symbol, _blocks, _keys
 from .modspace import MixedNormParams, trivial_weight, modulation_norm, _build_weight, _exponent
 from .quantizer import as_matrix_param, multiplier_route, quantize, symbol_transfer
 from .schatten import schatten_norm
@@ -221,23 +221,29 @@ def _cmd_bench(args):
     return 0
 
 
-_HANDLERS = {
-    "quantize": _cmd_quantize,
-    "scheme": _cmd_scheme,
-    "wigner": _cmd_wigner,
-    "stft": _cmd_stft,
-    "modnorm": _cmd_modnorm,
-    "schatten": _cmd_schatten,
-    "compose": _cmd_compose,
-    "transfer": _cmd_transfer,
+# op command -> (handler, the parameter keys it reads, the input names it reads)
+_OPS = {
+    "quantize": (_cmd_quantize, {"A", "route"}, {"a"}),
+    "scheme": (_cmd_scheme, {"scheme"}, {"a"}),
+    "wigner": (_cmd_wigner, {"A"}, {"f1", "f2"}),
+    "stft": (_cmd_stft, set(), {"f", "phi"}),
+    "modnorm": (_cmd_modnorm, {"p", "q", "weight"}, {"f", "phi"}),
+    "schatten": (_cmd_schatten, {"p"}, {"t"}),
+    "compose": (_cmd_compose, {"A"}, {"a", "b"}),
+    "transfer": (_cmd_transfer, {"A"}, {"a"}),
 }
-OP_COMMANDS = tuple(_HANDLERS)
+OP_COMMANDS = tuple(_OPS)
 
 
 def _cmd_op(args):
-    """Run the op command args.command on its job: a manifest, or the
-    inline flags."""
-    return _HANDLERS[args.command](*_job_from_args(args, args.command))
+    """Run the op command args.command on its job (a manifest, or the
+    inline flags), once its parameter keys and input names are ones the
+    command reads."""
+    handler, keys, names = _OPS[args.command]
+    grid, inputs, params, out = _job_from_args(args, args.command)
+    _keys(args.command, params, keys)
+    _keys(args.command, inputs, names, noun="input")
+    return handler(grid, inputs, params, out)
 
 
 @functools.cache

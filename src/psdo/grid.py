@@ -63,12 +63,13 @@ def _count(name: str, value, error=InvalidParams, minimum=1) -> int:
     return int(value)
 
 
-def _keys(name: str, params, allowed) -> None:
+def _keys(name: str, params, allowed, noun="parameter") -> None:
     """InvalidParams naming each key of params that is not in the set
-    `allowed`: the one rule for parameter keys a kind does not take."""
+    `allowed`: the one rule for parameter keys (or, with noun="input", the
+    input names) a kind or command does not take."""
     stray = params.keys() - allowed
     if stray:
-        raise InvalidParams(f"{name} takes no parameter {', '.join(sorted(map(repr, stray)))}; "
+        raise InvalidParams(f"{name} takes no {noun} {', '.join(sorted(map(repr, stray)))}; "
                             f"it takes {', '.join(map(repr, sorted(allowed))) or 'none'}")
 
 

@@ -573,6 +573,11 @@ def test_op_commands_match_library(tmp_path, capsys, rng, command, d, n, mode):
     ("modnorm", {"weight": {"kind": "product", "params": {"factors": [
         {"kind": "polynomial", "axes": ["pos"], "params": {"s": 1}},
         {"kind": "polynomial", "axes": ["freq"], "params": {"s": 1, "t": 0}}]}}}, "'t'"),
+    # a key the command does not read was ignored: quantize ran at A = 0,
+    # modnorm at q = 2
+    ("quantize", {"AA": 0.5}, "quantize takes no parameter 'AA'"),
+    ("modnorm", {"p": 2, "qq": 1}, "modnorm takes no parameter 'qq'"),
+    ("schatten", {"A": 1}, "schatten takes no parameter 'A'"),
 ])
 def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command, params, needle):
     g = GridSpec(1, 9)
@@ -583,6 +588,17 @@ def test_malformed_params_exit_3_naming_the_parameter(tmp_path, capsys, command,
     code, stdout, err = run_cli(capsys, command, "-i", f"{name}={tmp_path}/x.bin",
                                 "--params", json.dumps(params), "--out", str(out))
     assert code == 3 and needle in err and stdout == ""
+    assert not out.exists()
+
+
+def test_an_input_the_command_does_not_read_exits_3_naming_it(tmp_path, capsys):
+    # quantize -i a=... -i b=... ran on a and ignored b
+    g = GridSpec(1, 9)
+    write_array(tmp_path / "x.bin", np.ones((9, 9), dtype=complex), g)
+    out = tmp_path / "K.bin"
+    code, stdout, err = run_cli(capsys, "quantize", "-i", f"a={tmp_path}/x.bin", "-i", f"b={tmp_path}/x.bin",
+                                "--out", str(out))
+    assert code == 3 and "quantize takes no input 'b'; it takes 'a'" in err and stdout == ""
     assert not out.exists()
 
 
