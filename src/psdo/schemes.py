@@ -227,10 +227,15 @@ def _overflow(d: int, rho: float) -> InvalidParams:
     return InvalidParams(f"psi series for d={d} overflows at argument {rho}")
 
 
-def _psi_series(d: int, rho: float, signed: bool) -> float:
+def _psi_series(d: int, rho: float, signed: bool, integral: bool = False) -> float:
+    """The psi series at rho, its terms alternating in sign if `signed`, or
+    with `integral` its termwise integral from 0 to rho: term m times
+    rho / (2m + 1), each monomial integrated exactly.  Each term comes from
+    the previous one, so no power of rho/2 overflows alone; the sum stops
+    once the next term falls below 1e-16 of it (after at least 10 terms)."""
     half = rho / 2.0
     total = 0.0
-    term = 2.0 ** (-(d - 2) / 2.0)
+    term = 2.0 ** (-(d - 2) / 2.0) * (rho if integral else 1.0)
     biggest = term
     m = 0
     while True:
@@ -238,6 +243,8 @@ def _psi_series(d: int, rho: float, signed: bool) -> float:
         if not math.isfinite(total):
             raise _overflow(d, rho)
         nxt = term * half * half / ((m + 1) * (m + d / 2.0))
+        if integral:
+            nxt *= (2 * m + 1) / (2 * m + 3)
         m += 1
         if m >= 10 and nxt < 1e-16 * max(abs(total), 1.0):
             break
@@ -300,21 +307,7 @@ def psi0(d: int, r: float) -> float:
             return math.sinh(r)
         except OverflowError:
             raise _overflow(d, r) from None
-    half = r / 2.0
-    total = 0.0
-    # term m is 2^{-(d-2)/2} Gamma(d/2) 2 half^{2m+1} / ((2m+1) m! Gamma(m+d/2)),
-    # each from the previous one so that no power of half overflows alone
-    term = 2.0 ** (-(d - 2) / 2.0) * 2.0 * half
-    m = 0
-    while True:
-        total += term
-        if not math.isfinite(total):
-            raise _overflow(d, r)
-        nxt = term * (half * half * (2 * m + 1) / ((m + 1) * (m + d / 2.0) * (2 * m + 3)))
-        m += 1
-        if m >= 10 and abs(term) < 1e-16 * max(abs(total), 1.0):
-            return total
-        term = nxt
+    return _psi_series(d, r, signed=False, integral=True)
 
 
 def un_avg_multiplier_grid(grid, r: float, angle_nodes: int = 64) -> np.ndarray:
