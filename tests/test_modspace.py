@@ -294,6 +294,14 @@ def test_translated_window_preserves_norms(rng, grid9):
         modulation_norm(f, params, phi=phi2), rel=1e-12)
 
 
+def test_signal_modulation_norm_is_not_capped():
+    # the signal norm streams N^2 = 2.25e6 STFT entries, above FOURD_LIMIT,
+    # which caps only a symbol's N^4; a cap shared with symbols raised
+    # SizeLimit here
+    f = Signal.random(GridSpec(1, 1501), np.random.default_rng(0))
+    assert math.isfinite(modulation_norm(f, MixedNormParams(1, math.inf)))
+
+
 def test_symbol_modulation_norm_l2(rng, grid9):
     a = Symbol.random(grid9, rng)
     assert symbol_modulation_norm(a, MixedNormParams(2, 2)) == pytest.approx(a.norm(), rel=1e-12)

@@ -11,6 +11,7 @@ from psdo import (
     Symbol,
     dft,
     quantize,
+    rank_one_symbol,
     stft,
     wigner,
     weyl_wigner_stft_relation_check,
@@ -69,6 +70,48 @@ def test_window_on_another_grid_is_refused(grid9, rng):
                  lambda: symbol_modulation_norm(a, MixedNormParams(2, 2), Phi=Phi)):
         with pytest.raises(DimMismatch, match="window"):
             call()
+    # a partner on (2, 3) against data on (1, 9), 9 points each, was taken
+    # by every call below: the window test compared shapes only, and a
+    # second signal was not tested at all
+    data, other = GridSpec(1, 9, "mod"), GridSpec(2, 3, "mod")
+    f, g, a = Signal.random(data, rng), Signal.random(data, rng), Symbol.random(data, rng)
+    phi, psi, Phi = Signal.random(other, rng), Signal.random(other, rng), Symbol.random(other, rng)
+    two = MixedNormParams(2, 2)
+    for name, call in (("stft", lambda: stft(f, phi)),
+                       ("modulation_norm", lambda: modulation_norm(f, two, phi=phi)),
+                       ("symbol_modulation_norm", lambda: symbol_modulation_norm(a, two, Phi=Phi)),
+                       ("stft_of_wigner_check", lambda: stft_of_wigner_check(f, g, phi, psi, 1)),
+                       ("expop_stft_check", lambda: expop_stft_check(a, Phi, 1)),
+                       ("wigner", lambda: wigner(f, phi, 1)),
+                       ("rank_one_symbol", lambda: rank_one_symbol(f, phi, 1))):
+        with pytest.raises(DimMismatch, match="grids differ"):
+            call()
+            pytest.fail(f"{name} returned a value")
+
+
+def test_partner_rule_takes_another_mode_and_a_zero_second_signal(rng):
+    # the rule compares (d, n) and the rank: a window in mode "mod" serves
+    # data in mode "real", and a zero second signal is a zero Wigner
+    # distribution, not a zero window
+    g, gm = GridSpec(1, 9), GridSpec(1, 9, "mod")
+    f, phi = Signal.random(g, rng), Signal.random(g, rng)
+    np.testing.assert_array_equal(stft(f, Signal(gm, phi.data)).data, stft(f, phi).data)
+    assert not np.any(wigner(f, Signal(g, np.zeros(9)), 0.5).data)
+    with pytest.raises(DimMismatch, match="rank"):
+        stft(f, Symbol.random(g, rng))
+
+
+def test_phase_space_stft_is_the_assembled_stream(rng):
+    # phase_space_stft is stft on the doubled grid, and stft writes the
+    # stream's columns, so a symbol's stream assembles to it bit for bit
+    for d, n in ((1, 5), (2, 3)):
+        g = GridSpec(d, n)
+        N = g.size
+        F, Phi = Symbol.random(g, rng), Symbol.random(g, rng)
+        V4 = np.empty((N * N, N * N), dtype=complex)
+        for k, V in _stft_columns(F, Phi):
+            V4[:, k] = V.reshape(len(k), N * N).T
+        np.testing.assert_array_equal(phase_space_stft(F.data, Phi.data, g).reshape(N * N, N * N), V4)
 
 
 def test_wigner_matches_naive_mod(rng):
