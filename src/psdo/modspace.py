@@ -32,8 +32,8 @@ from .errors import (
     SizeLimit,
     TooFewEntries,
 )
-from .grid import (GridSpec, Signal, Symbol, gaussian_window, rep_axis, _blocks, _count, _is_real, _keys, _real,
-                   _real_number)
+from .grid import (GridSpec, Signal, Symbol, gaussian_window, doubled, rep_axis, _blocks, _count, _is_real,
+                   _keys, _real, _real_number)
 from .quantizer import as_matrix_param
 from .wigner import FOURD_LIMIT, TimeFrequencyArray, _column_budget, _stft_columns
 
@@ -405,7 +405,7 @@ def modulation_norm(f: Signal, params: MixedNormParams, omega: Weight = None,
                     phi: Signal = None) -> float:
     """Mixed norm of the STFT, weighted by a 2-block weight, under the
     periodized Gaussian by default: see :func:`_modulation_norms`."""
-    return _modulation_norms(f, (params,), omega, phi)[0]
+    return _modulation_norms(f, (params,), omega, gaussian_window(f.grid) if phi is None else phi)[0]
 
 
 def symbol_modulation_norm(a: Symbol, params: MixedNormParams, omega: Weight = None,
@@ -419,15 +419,16 @@ def symbol_modulation_norm(a: Symbol, params: MixedNormParams, omega: Weight = N
 def _modulation_norms(F, params_seq, omega: Weight = None, window=None) -> list:
     """The modulation norm of the Signal or Symbol F for each of
     `params_seq`: inner p over the translations and outer q over the
-    frequencies of its STFT under `window` (the periodized Gaussian by
-    default), weighted by `omega`, 2 blocks per rank.  One stream of
+    frequencies of its STFT under `window` (by default a symbol's, the
+    periodized Gaussian on the doubled grid), weighted by `omega`, 2 blocks
+    per rank.  One stream of
     frequency columns serves every norm, the weight evaluated per block.
     A symbol's N^4 entries are capped (SizeLimit), a signal's N^2 are not."""
     grid, rank, M = F.grid, F.rank, F.data.size
     if rank == 2 and _column_budget(grid) < M:
         raise SizeLimit(f"symbol norm reads all {M} STFT columns, {M**2} entries (cap {FOURD_LIMIT})")
     if window is None:
-        window = type(F)(grid, gaussian_window(GridSpec(grid.d * rank, grid.n)).data.reshape(F.data.shape))
+        window = Symbol(grid, gaussian_window(doubled(grid)).data.reshape(grid.size, grid.size))
     if omega is not None and len(omega.axes) != 2 * rank:
         raise DomainMismatch(f"a rank-{rank} norm needs a {2 * rank}-block weight, got {len(omega.axes)} blocks")
     inner = np.empty((len(params_seq), M))

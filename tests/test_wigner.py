@@ -89,16 +89,19 @@ def test_window_on_another_grid_is_refused(grid9, rng):
             pytest.fail(f"{name} returned a value")
 
 
-def test_partner_rule_takes_another_mode_and_a_zero_second_signal(rng):
-    # the rule compares (d, n) and the rank: a window in mode "mod" serves
-    # data in mode "real", and a zero second signal is a zero Wigner
-    # distribution, not a zero window
+def test_partner_rule_compares_grid_and_rank_not_mode(rng):
+    # a window in mode "mod" serves data in mode "real", and a zero second
+    # signal is a zero Wigner distribution, not a zero window; a window of
+    # another rank is refused, so each norm keeps refusing the other's
+    # array through its default window
     g, gm = GridSpec(1, 9), GridSpec(1, 9, "mod")
-    f, phi = Signal.random(g, rng), Signal.random(g, rng)
+    f, phi, a = Signal.random(g, rng), Signal.random(g, rng), Symbol.random(g, rng)
     np.testing.assert_array_equal(stft(f, Signal(gm, phi.data)).data, stft(f, phi).data)
     assert not np.any(wigner(f, Signal(g, np.zeros(9)), 0.5).data)
-    with pytest.raises(DimMismatch, match="rank"):
-        stft(f, Symbol.random(g, rng))
+    for call in (lambda: stft(f, a), lambda: modulation_norm(a, MixedNormParams(2, 2)),
+                 lambda: symbol_modulation_norm(f, MixedNormParams(2, 2))):
+        with pytest.raises(DimMismatch, match="rank"):
+            call()
 
 
 def test_phase_space_stft_is_the_assembled_stream(rng):
