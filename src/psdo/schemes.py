@@ -232,7 +232,8 @@ def _psi_series(d: int, rho: float, signed: bool, integral: bool = False) -> flo
     with `integral` its termwise integral from 0 to rho: term m times
     rho / (2m + 1), each monomial integrated exactly.  Each term comes from
     the previous one, so no power of rho/2 overflows alone; the sum stops
-    once the next term falls below 1e-16 of it (after at least 10 terms)."""
+    once the next term falls below 1e-16 of the partial sum (after at
+    least 10 terms)."""
     half = rho / 2.0
     total = 0.0
     term = 2.0 ** (-(d - 2) / 2.0) * (rho if integral else 1.0)
