@@ -30,9 +30,6 @@ from .wigner import (
     TimeFrequencyArray,
     stft,
     wigner,
-    weyl_wigner_stft_relation_check,
-    stft_of_wigner_check,
-    expop_stft_check,
 )
 from .modspace import (
     ExponentTuple,
@@ -51,10 +48,8 @@ from .schatten import (
     schatten_norm,
     symbol_schatten_norm,
     trace_pairing,
-    duality_check,
-    hoelder_check,
 )
-from .calculus import sharp, sharp_n, sharp_transfer_check, alg_hypotheses_report
+from .calculus import sharp, sharp_n, alg_hypotheses_report
 from .schemes import SchemeSpec, quantize_scheme, bj_multiplier, psi, psi0
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Sharp product, N-fold composition, and cross-calculus transfer of
-products.
+"""Sharp product, N-fold composition, and the composition-hypothesis
+report.
 
 The product is computed operationally (quantize, multiply, dequantize),
 which is exact in finite dimensions; the quantization-homomorphism
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArityMismatch
 from .grid import GridSpec, Symbol, OperatorMatrix, _count
-from .quantizer import as_matrix_param, quantize, dequantize, symbol_transfer
+from .quantizer import quantize, dequantize
 from .modspace import (
     ExponentTuple,
     MixedNormParams,
@@ -31,7 +31,6 @@ __all__ = [
     "CompositionReport",
     "sharp",
     "sharp_n",
-    "sharp_transfer_check",
     "alg_hypotheses_report",
 ]
 
@@ -69,21 +68,6 @@ def sharp_n(factors, A) -> Symbol:
     for f in rest:
         prod = prod @ quantize(f, A).data
     return dequantize(OperatorMatrix(first.grid, prod), A)
-
-
-def sharp_transfer_check(a: Symbol, b: Symbol, A, B) -> float:
-    """Max deviation of the cross-calculus product transfer
-
-        a #_A b = T_{A-B}^{-1}((T_{A-B} a) #_B (T_{A-B} b)).
-    """
-    d = a.grid.d
-    A = as_matrix_param(A, d)
-    B = as_matrix_param(B, d)
-    lhs = sharp(a, b, A).data
-    ta = symbol_transfer(a, A - B)
-    tb = symbol_transfer(b, A - B)
-    rhs = symbol_transfer(sharp(ta, tb, B), -(A - B)).data
-    return float(np.abs(lhs - rhs).max())
 
 
 @dataclass

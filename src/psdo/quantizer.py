@@ -175,19 +175,30 @@ _SUM_BLOCK = 64
 def _average_table(grid: GridSpec, params, weights) -> np.ndarray:
     """sum_i w_i e^{-2i pi <rep k, A_i rep u>/n} over (k, u), each term the
     product of the row tables of :func:`_row_tables` with w_i folded into
-    the first, summed in blocks of ``_SUM_BLOCK`` terms."""
+    the first, summed in blocks of ``_SUM_BLOCK`` terms; at most
+    ``_SUM_BLOCK`` terms in all are summed straight into the total.  A term
+    of two or more tables is built in one reused buffer."""
     shape = (grid.n,) * (2 * grid.d)
     total = np.zeros(shape, dtype=np.complex128)
-    part = np.zeros(shape, dtype=np.complex128)
+    blocked = len(params) > _SUM_BLOCK
+    part = np.zeros(shape, dtype=np.complex128) if blocked else total
+    term = None
     for i, (A, w) in enumerate(zip(params, weights), 1):
-        term = w
-        for table in _row_tables(grid, A, -1):
-            term = term * table
-        part += term
-        if i % _SUM_BLOCK == 0:
+        tables = _row_tables(grid, A, -1)
+        if len(tables) < 2:  # w, or w times one table, added by broadcasting
+            part += w * tables[0] if tables else w
+        else:
+            if term is None:
+                term = np.empty(shape, dtype=np.complex128)
+            np.multiply(w * tables[0], tables[1], out=term)
+            for table in tables[2:]:
+                term *= table
+            part += term
+        if blocked and i % _SUM_BLOCK == 0:
             total += part
             part.fill(0.0)
-    total += part
+    if blocked:
+        total += part
     return total
 
 

@@ -1,9 +1,8 @@
-"""Singular numbers, Schatten norms, symbol Schatten classes, trace duality
-and the Hoelder composition inequality (plain l2 spaces, trivial weight)."""
+"""Singular numbers, Schatten norms, symbol Schatten classes and the trace
+pairing (plain l2 spaces, trivial weight)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ __all__ = [
     "schatten_norm",
     "symbol_schatten_norm",
     "trace_pairing",
-    "duality_check",
-    "hoelder_check",
 ]
 
 # singular values below this multiple of sigma_1 count as zero for rank purposes
@@ -80,42 +77,3 @@ def trace_pairing(T1, T2) -> complex:
     if M1.shape != M2.shape:
         raise DimMismatch(f"shapes differ: {M1.shape} vs {M2.shape}")
     return complex(np.sum(M1 * np.conj(M2)))
-
-
-def duality_check(T, p: float):
-    """Evaluate ||T||_{I_p} against its trace-duality supremum.
-
-    The supremum of |(T, T0)_{I_2}| over ||T0||_{I_{p'}} <= 1 is attained
-    at T0 = U diag(w) V^* with w the l^{p'}-unit dual vector of the
-    singular values; returns (lhs, rhs, ratio).
-    """
-    p = _exponent("p", p, minimum=1)
-    M = _matrix(T)
-    U, sigma, Vh = _svd(M, compute_uv=True)
-    lhs = float(_lp_reduce(sigma, p))
-    if lhs == 0.0:
-        return 0.0, 0.0, 1.0
-    if math.isinf(p):
-        w = np.zeros_like(sigma)
-        w[0] = 1.0
-    elif p == 1:
-        w = np.ones_like(sigma)
-    else:
-        w = (sigma / lhs) ** (p - 1.0)
-    T0 = (U * w) @ Vh
-    rhs = abs(trace_pairing(M, T0))
-    return lhs, rhs, rhs / lhs
-
-
-def hoelder_check(T1, T2, p1: float, p2: float):
-    """Composition bound ||T2 T1||_{I_r} <= ||T1||_{I_{p1}} ||T2||_{I_{p2}}
-    with 1/r = 1/p1 + 1/p2; returns (lhs, rhs)."""
-    p1, p2 = _exponent("p1", p1), _exponent("p2", p2)
-    M1, M2 = _matrix(T1), _matrix(T2)
-    if M1.shape[0] != M2.shape[1]:
-        raise DimMismatch(f"cannot compose {M2.shape} after {M1.shape}")
-    inv_r = 1.0 / p1 + 1.0 / p2
-    r = math.inf if inv_r == 0.0 else 1.0 / inv_r
-    rhs = schatten_norm(M1, p1) * schatten_norm(M2, p2)  # refuses a non-finite factor first
-    lhs = schatten_norm(M2 @ M1, r)
-    return lhs, rhs

@@ -12,6 +12,11 @@ empirical constant without judging it.  A non-finite measure (NaN or
 nothing; its entry has measure null and a note naming the value.  A check
 that hits a size cap (SizeLimit) or a dimension without Haar nodes
 (UnsupportedDimension) is skipped with the error's message as its note.
+
+The identities that checks and tests evaluate as functions (the Wigner/STFT
+relations, the product transfer, Schatten duality and the Hoelder bound)
+are defined here, beside the checks that call them; ``psdo`` does not
+export them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParams, SizeLimit, UnsupportedDimension
+from .errors import DimMismatch, InvalidParams, ModeMismatch, SizeLimit, UnsupportedDimension
 from .grid import (
     GridSpec,
     Signal,
@@ -34,6 +39,7 @@ from .grid import (
     OperatorMatrix,
     dft,
     doubled,
+    flatten_coords,
     gaussian_window,
     idft,
     index_coords,
@@ -43,33 +49,18 @@ from .grid import (
 )
 from .quantizer import (
     MatrixParam,
+    as_matrix_param,
     quantize,
     kernel_route,
     multiplier_route,
     dequantize,
     symbol_transfer,
 )
-from .wigner import (
-    stft,
-    wigner,
-    weyl_wigner_stft_relation_check,
-    stft_of_wigner_check,
-    expop_stft_check,
-    _check_columns,
-    _integer_matrix,
-    _shear,
-)
+from .wigner import stft, wigner, _check_columns, _stft_columns
 from . import modspace as ms
-from .modspace import MixedNormParams, ExponentTuple, make_weight, trivial_weight
-from .schatten import (
-    singular_values,
-    schatten_norm,
-    symbol_schatten_norm,
-    trace_pairing,
-    duality_check,
-    hoelder_check,
-)
-from .calculus import sharp, sharp_n, sharp_transfer_check
+from .modspace import MixedNormParams, ExponentTuple, make_weight, trivial_weight, _exponent, _lp_reduce
+from .schatten import singular_values, schatten_norm, symbol_schatten_norm, trace_pairing, _matrix, _svd
+from .calculus import sharp, sharp_n
 from . import schemes as sch
 from .schemes import SchemeSpec, quantize_scheme, born_jordan_quadrature
 
@@ -276,6 +267,21 @@ def _c_sharp_assoc(ctx):
         yield float(np.abs(sharp_n((a, b, c), A).data - lhs.data).max())
 
 
+def sharp_transfer_check(a: Symbol, b: Symbol, A, B) -> float:
+    """Max deviation of the cross-calculus product transfer
+
+        a #_A b = T_{A-B}^{-1}((T_{A-B} a) #_B (T_{A-B} b)).
+    """
+    d = a.grid.d
+    A = as_matrix_param(A, d)
+    B = as_matrix_param(B, d)
+    lhs = sharp(a, b, A).data
+    ta = symbol_transfer(a, A - B)
+    tb = symbol_transfer(b, A - B)
+    rhs = symbol_transfer(sharp(ta, tb, B), -(A - B)).data
+    return float(np.abs(lhs - rhs).max())
+
+
 @check("sharp_transfer", "calculus",
        "a #_A b == T_{A-B}^{-1}((T_{A-B}a) #_B (T_{A-B}b))", 1e-11)
 def _c_sharp_transfer(ctx):
@@ -338,6 +344,23 @@ def _w_link(ctx):
             yield _rel(abs(lhs - rhs), abs(lhs))
 
 
+def _integer_matrix(grid: GridSpec, A) -> np.ndarray:
+    """A as an int64 matrix, for identities that are exact only in mode
+    "mod" with integer A."""
+    A = as_matrix_param(A, grid.d)
+    if grid.mode != "mod" or not A.integer_flag:
+        raise ModeMismatch("identity requires mode 'mod' and integer A")
+    return np.round(A.entries).astype(np.int64)
+
+
+def _shear(grid: GridSpec, M: np.ndarray, y=None) -> np.ndarray:
+    """Table S[b, j] = flat index of j + M y_b mod n for an integer matrix M,
+    over the flat indices y (all N by default) and every j."""
+    coords = index_coords(grid)
+    ys = coords if y is None else coords[y]
+    return flatten_coords(grid, coords[None, :, :] + (ys @ M.T)[:, None, :])
+
+
 def _direct_wigner_mod(f1: Signal, f2: Signal, A) -> np.ndarray:
     """The direct modular sum of :func:`wigner`'s docstring, for integer A in
     mode "mod": the oracle for its dequantization route."""
@@ -398,6 +421,34 @@ def _w_wigner_moyal(ctx):
         yield _rel(abs(W.norm() - f1.norm() * f2.norm()), f1.norm() * f2.norm())
 
 
+def weyl_wigner_stft_relation_check(f: Signal, phi: Signal) -> float:
+    """Max deviation of the discrete Weyl-Wigner/STFT relation.
+
+    With h = (n+1)/2 (the inverse of 2 mod n) realizing the half-identity
+    parameter, the substitution y -> 2u in the Wigner sum gives
+
+        W^{hI}_{f,phi}(j, k) = e^{4i pi <j,k>/n} V_{phi^}f(2j, 2k),
+
+    phi^(x) = phi(-x).  No 2^d factor survives: the counting measure has
+    no Jacobian.  Requires mode "mod".
+    """
+    grid = f.grid
+    if grid.mode != "mod":
+        raise ModeMismatch("relation uses 2^{-1} mod n; requires mode 'mod'")
+    n = grid.n
+    h = (n + 1) // 2
+    W = wigner(f, phi, MatrixParam.scalar(h, grid.d)).data
+    coords = index_coords(grid)
+    neg = flatten_coords(grid, -coords)
+    phicheck = Signal(grid, phi.data[neg])
+    V = stft(f, phicheck).data
+    two = flatten_coords(grid, 2 * coords)
+    dot = (coords @ coords.T) % n  # <j, k> mod n, exact
+    phase = np.exp(4j * np.pi * dot / n)
+    rhs = phase * V[np.ix_(two, two)]
+    return float(np.abs(W - rhs).max())
+
+
 @check("weyl_wigner_stft_relation", "wigner",
        "W^{(n+1)/2 I}_{f,phi}(j,k) == e^{4i pi <j,k>/n} V_{phi^}f(2j, 2k)", 1e-10)
 def _w_weyl_wigner_stft(ctx):
@@ -409,6 +460,38 @@ def _w_weyl_wigner_stft(ctx):
         yield weyl_wigner_stft_relation_check(f, phi)
 
 
+def stft_of_wigner_check(f, g, phi, psi, A) -> float:
+    """Max deviation between V_Phi W^A_{f,g} and the two-STFT product form
+
+        e^{-2i pi <y,xi>/n} (V_phi f)(x-Ay, xi-(A*-I)eta)
+                       conj((V_psi g)(x-(A-I)y, xi-A*eta)).
+
+    Exact (fp roundoff) in mode "mod" with integer A.  Streams the left
+    side by frequency columns (eta, y), each exact over all translations
+    (x, xi); above FOURD_LIMIT 4d entries it reads a fixed sample of
+    columns, and raises SizeLimit when not one column fits.
+    """
+    grid = f.grid
+    Aint = _integer_matrix(grid, A)
+    columns = _check_columns(grid)
+    N, n = grid.size, grid.n
+    Vf, Vg = stft(f, phi).data, stft(g, psi).data
+    Bint = Aint - np.eye(grid.d, dtype=np.int64)
+    coords = index_coords(grid)
+    block_max = []
+    for k, lhs in _stft_columns(wigner(f, g, A), wigner(phi, psi, A), columns):
+        eta, y = k // N, k % N
+        rhs = Vf[_shear(grid, -Aint, y)[:, :, None], _shear(grid, -Bint.T, eta)[:, None, :]]
+        rhs *= np.exp(-2j * np.pi * ((coords[y] @ coords.T) % n) / n)[:, None, :]  # e^{-2i pi <y, xi>/n}
+        Vg_sheared = Vg[_shear(grid, -Bint, y)[:, :, None], _shear(grid, -Aint.T, eta)[:, None, :]]
+        rhs *= np.conj(Vg_sheared, out=Vg_sheared)
+        rhs -= lhs
+        del lhs, Vg_sheared
+        block_max.append(np.abs(rhs).max())
+        del rhs  # no array of this block is alive while the stream computes the next
+    return float(np.max(block_max))  # a NaN block makes the result NaN
+
+
 @check("stft_of_wigner", "wigner",
        "V_{W^A_{phi,psi}} W^A_{f,g} == phase-sheared product of two STFTs, A in {0,1}", 1e-10)
 def _w_stft_of_wigner(ctx):
@@ -418,6 +501,40 @@ def _w_stft_of_wigner(ctx):
         f, g = _unit_signal(grid, rng), _unit_signal(grid, rng)
         phi, psi = _unit_signal(grid, rng), _unit_signal(grid, rng)
         yield stft_of_wigner_check(f, g, phi, psi, MatrixParam.scalar(t, ctx.d))
+
+
+def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
+    """Max deviation of the transfer/STFT commutation identity
+
+        (V_{T_A phi}(T_A a))(x, xi, eta, y)
+            = e^{2i pi <A y, eta>/n} (V_phi a)(x + A y, xi + A* eta, eta, y)
+
+    Both sides stream by frequency columns (eta, y); each column's right
+    side is its own translations (x, xi) shifted by (A y, A* eta), exact
+    over all of them.  Each stream holds one block at a time: a block's
+    arrays are dropped before the next block is computed.  Above
+    FOURD_LIMIT 4d entries a fixed sample of columns is read, and SizeLimit
+    raised when not one column fits.  Exactly zero at A = 0; requires mode
+    "mod" and integer A.
+    """
+    grid = a.grid
+    Aint = _integer_matrix(grid, A)
+    columns = _check_columns(grid)
+    N, n = grid.size, grid.n
+    coords = index_coords(grid)
+    block_max = []
+    lhs_columns = _stft_columns(symbol_transfer(a, A), symbol_transfer(phi, A), columns)
+    for k, V in _stft_columns(a, phi, columns):
+        eta, y = k // N, k % N
+        dot = np.sum((coords[y] @ Aint.T) * coords[eta], axis=1) % n  # <A y, eta>
+        rhs = V[np.arange(len(k))[:, None, None], _shear(grid, Aint, y)[:, :, None],
+                _shear(grid, Aint.T, eta)[:, None, :]]
+        rhs *= np.exp(2j * np.pi * dot / n)[:, None, None]
+        del V  # V goes before the left side's block is computed
+        rhs -= next(lhs_columns)[1]
+        block_max.append(np.abs(rhs).max())
+        del rhs  # no array of this block is alive while the streams compute the next
+    return float(np.max(block_max))  # a NaN block makes the result NaN
 
 
 @check("expop_stft_zero", "wigner",
@@ -638,6 +755,31 @@ def _s_trace_pairing(ctx):
     yield _rel(abs(lhs - rhs), abs(rhs))
 
 
+def duality_check(T, p: float):
+    """Evaluate ||T||_{I_p} against its trace-duality supremum.
+
+    The supremum of |(T, T0)_{I_2}| over ||T0||_{I_{p'}} <= 1 is attained
+    at T0 = U diag(w) V^* with w the l^{p'}-unit dual vector of the
+    singular values; returns (lhs, rhs, ratio).
+    """
+    p = _exponent("p", p, minimum=1)
+    M = _matrix(T)
+    U, sigma, Vh = _svd(M, compute_uv=True)
+    lhs = float(_lp_reduce(sigma, p))
+    if lhs == 0.0:
+        return 0.0, 0.0, 1.0
+    if math.isinf(p):
+        w = np.zeros_like(sigma)
+        w[0] = 1.0
+    elif p == 1:
+        w = np.ones_like(sigma)
+    else:
+        w = (sigma / lhs) ** (p - 1.0)
+    T0 = (U * w) @ Vh
+    rhs = abs(trace_pairing(M, T0))
+    return lhs, rhs, rhs / lhs
+
+
 @check("schatten_duality", "schatten",
        "||T||_{I_p} == sup over the I_{p'} unit ball of |(T, T0)_{I_2}|", 1e-10)
 def _s_duality(ctx):
@@ -648,6 +790,20 @@ def _s_duality(ctx):
             T = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             _, _, ratio = duality_check(T, p)
             yield abs(ratio - 1.0)
+
+
+def hoelder_check(T1, T2, p1: float, p2: float):
+    """Composition bound ||T2 T1||_{I_r} <= ||T1||_{I_{p1}} ||T2||_{I_{p2}}
+    with 1/r = 1/p1 + 1/p2; returns (lhs, rhs)."""
+    p1, p2 = _exponent("p1", p1), _exponent("p2", p2)
+    M1, M2 = _matrix(T1), _matrix(T2)
+    if M1.shape[0] != M2.shape[1]:
+        raise DimMismatch(f"cannot compose {M2.shape} after {M1.shape}")
+    inv_r = 1.0 / p1 + 1.0 / p2
+    r = math.inf if inv_r == 0.0 else 1.0 / inv_r
+    rhs = schatten_norm(M1, p1) * schatten_norm(M2, p2)  # refuses a non-finite factor first
+    lhs = schatten_norm(M2 @ M1, r)
+    return lhs, rhs
 
 
 @check("hoelder_composition", "schatten",
@@ -851,19 +1007,27 @@ def _q_un_mc(ctx):
 
 
 def _fold(deviations):
-    """The max of a check's deviations: the first NaN if any is NaN, None
-    when there are none."""
-    worst = None
-    for dev in deviations:
+    """(measure, draw): the max of a check's deviations, the first NaN if
+    any is NaN, and the index of the draw that set it, the first maximum;
+    (None, None) when there are none."""
+    worst = at = None
+    for i, dev in enumerate(deviations):
         dev = float(dev)
         if math.isnan(dev):
-            return dev
+            return dev, i
         if worst is None or dev > worst:
-            worst = dev
-    return worst
+            worst, at = dev, i
+    return worst, at
 
 
 def _run_check(cd: CheckDef, ctx: Context) -> dict:
+    """The report entry of one check."""
+    return _checked(cd, ctx)[0]
+
+
+def _checked(cd: CheckDef, ctx: Context):
+    """(report entry, index of the worst draw) of one check; the index is
+    None for a skip or a check that yields nothing."""
     entry = {
         "name": cd.name,
         "suite": cd.suite,
@@ -875,21 +1039,21 @@ def _run_check(cd: CheckDef, ctx: Context) -> dict:
         "note": None,
     }
     try:
-        measure = _fold(cd.fn(replace(ctx, name=cd.name)))
+        measure, worst_draw = _fold(cd.fn(replace(ctx, name=cd.name)))
     except (SizeLimit, UnsupportedDimension) as exc:  # skipped with its message
         entry["skipped"] = True
         entry["note"] = str(exc)
-        return entry
+        return entry, None
     if measure is None or not math.isfinite(measure):
         entry["passed"] = False
         entry["note"] = "no deviation yielded" if measure is None else f"non-finite measure {measure}"
-        return entry
+        return entry, worst_draw
     entry["measure"] = measure
     if cd.tolerance is not None:
         entry["passed"] = measure <= cd.tolerance
     else:
         entry["note"] = "report-only"
-    return entry
+    return entry, worst_draw
 
 
 def run_suite(suite: str, n: int, d: int, seed: int, threads: int = None) -> dict:
@@ -901,8 +1065,9 @@ def run_suite(suite: str, n: int, d: int, seed: int, threads: int = None) -> dic
 
 
 def _run_suite(suite, n, d, seed, threads=None):
-    """:func:`run_suite`, plus each check's wall time in seconds, in report
-    order.  The times stay out of the report, which is byte-reproducible."""
+    """:func:`run_suite`, plus each check's (wall time in seconds, index of
+    its worst draw), in report order.  They stay out of the report, which
+    is byte-reproducible."""
     if suite not in SUITES:
         raise InvalidParams(f"unknown suite {suite!r}; have {SUITES}")
     # validates n and d; SizeLimit before any check allocates when not one
@@ -919,8 +1084,8 @@ def _run_suite(suite, n, d, seed, threads=None):
 
     def timed(c):
         t0 = time.perf_counter()
-        entry = _run_check(c, ctx)
-        return entry, time.perf_counter() - t0
+        entry, worst_draw = _checked(c, ctx)
+        return entry, (time.perf_counter() - t0, worst_draw)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -936,15 +1101,17 @@ def _run_suite(suite, n, d, seed, threads=None):
         "checks": results,
         "passed": all(r["passed"] for r in results),
     }
-    return report, [wall for _, wall in runs]
+    return report, [timing for _, timing in runs]
 
 
-def _timing_to_json(report: dict, walls) -> bytes:
+def _timing_to_json(report: dict, timings) -> bytes:
     """The timing sidecar of a report: each check's wall time in seconds and
-    their sum, which exceeds the elapsed time when checks run in threads."""
+    the index of its worst draw (null for a skip), and the sum of the wall
+    times, which exceeds the elapsed time when checks run in threads."""
     timing = {key: report[key] for key in ("suite", "n", "d", "seed")}
-    timing["total_s"] = sum(walls)
-    timing["checks"] = [{"name": r["name"], "wall_s": w} for r, w in zip(report["checks"], walls)]
+    timing["total_s"] = sum(wall for wall, _ in timings)
+    timing["checks"] = [{"name": r["name"], "wall_s": wall, "worst_draw": worst_draw}
+                        for r, (wall, worst_draw) in zip(report["checks"], timings)]
     return (json.dumps(timing, indent=2) + "\n").encode("utf-8")
 
 

@@ -1,5 +1,6 @@
-"""Short-time Fourier transform, A-Wigner distributions, and the exact
-identities tying them to each other and to the quantizer.
+"""Short-time Fourier transform and A-Wigner distributions; the exact
+identities tying them to each other and to the quantizer are checked in
+``verify``.
 
 Discrete phase conventions below were fixed by exhaustive computation on
 the n=3 grid (see tests), not by transcribing continuum formulas; the
@@ -13,30 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ModeMismatch, SizeLimit
-from .grid import (
-    GridSpec,
-    Signal,
-    Symbol,
-    index_coords,
-    flatten_coords,
-    doubled,
-    _GridArray,
-    _blocks,
-    _check_window,
-    _fftn,
-)
-from .quantizer import MatrixParam, as_matrix_param, rank_one_symbol, symbol_transfer
+from .errors import SizeLimit
+from .grid import GridSpec, Signal, doubled, _GridArray, _blocks, _check_window, _fftn
+from .quantizer import rank_one_symbol
 
-__all__ = [
-    "TimeFrequencyArray",
-    "stft",
-    "wigner",
-    "weyl_wigner_stft_relation_check",
-    "phase_space_stft",
-    "stft_of_wigner_check",
-    "expop_stft_check",
-]
+__all__ = ["TimeFrequencyArray", "stft", "wigner", "phase_space_stft"]
 
 # dense (N, N, N, N) arrays are only materialized below this entry count; above
 # it the pointwise 4d checks read a sample of FOURD_LIMIT // N^2 frequency columns.
@@ -70,57 +52,12 @@ def stft(f: Signal, phi: Signal) -> TimeFrequencyArray:
     return TimeFrequencyArray(f.grid, V)
 
 
-def _integer_matrix(grid: GridSpec, A) -> np.ndarray:
-    """A as an int64 matrix, for identities that are exact only in mode
-    "mod" with integer A."""
-    A = as_matrix_param(A, grid.d)
-    if grid.mode != "mod" or not A.integer_flag:
-        raise ModeMismatch("identity requires mode 'mod' and integer A")
-    return np.round(A.entries).astype(np.int64)
-
-
-def _shear(grid: GridSpec, M: np.ndarray, y=None) -> np.ndarray:
-    """Table S[b, j] = flat index of j + M y_b mod n for an integer matrix M,
-    over the flat indices y (all N by default) and every j."""
-    coords = index_coords(grid)
-    ys = coords if y is None else coords[y]
-    return flatten_coords(grid, coords[None, :, :] + (ys @ M.T)[:, None, :])
-
-
 def wigner(f1: Signal, f2: Signal, A) -> TimeFrequencyArray:
     """Cross A-Wigner distribution W^A_{f1,f2}: n^{-d/2} times the
     dequantization of the rank-one operator f1 f2^*, in either mode (mode
     "mod" requires integer A).  For integer A this is the direct modular sum
     n^{-d/2} sum_y f1(j + A y) conj(f2(j + (A-I) y)) e^{-2i pi <y,k>/n}."""
     return TimeFrequencyArray(f1.grid, rank_one_symbol(f1, f2, A).data / np.sqrt(f1.grid.size))
-
-
-def weyl_wigner_stft_relation_check(f: Signal, phi: Signal) -> float:
-    """Max deviation of the discrete Weyl-Wigner/STFT relation.
-
-    With h = (n+1)/2 (the inverse of 2 mod n) realizing the half-identity
-    parameter, the substitution y -> 2u in the Wigner sum gives
-
-        W^{hI}_{f,phi}(j, k) = e^{4i pi <j,k>/n} V_{phi^}f(2j, 2k),
-
-    phi^(x) = phi(-x).  No 2^d factor survives: the counting measure has
-    no Jacobian.  Requires mode "mod".
-    """
-    grid = f.grid
-    if grid.mode != "mod":
-        raise ModeMismatch("relation uses 2^{-1} mod n; requires mode 'mod'")
-    n = grid.n
-    h = (n + 1) // 2
-    W = wigner(f, phi, MatrixParam.scalar(h, grid.d)).data
-    coords = index_coords(grid)
-    neg = flatten_coords(grid, -coords)
-    phicheck = Signal(grid, phi.data[neg])
-    V = stft(f, phicheck).data
-    two = flatten_coords(grid, 2 * coords)
-    dot = (coords @ coords.T) % n  # <j, k> mod n, exact
-    phase = np.exp(4j * np.pi * dot / n)
-    rhs = phase * V[np.ix_(two, two)]
-    return float(np.abs(W - rhs).max())
 
 
 def phase_space_stft(F: np.ndarray, Phi: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -198,69 +135,3 @@ def _check_columns(grid: GridSpec):
     if budget == 0:
         raise SizeLimit(f"one STFT column has {N * N} entries (cap {FOURD_LIMIT})")
     return np.sort(np.random.default_rng(0).choice(N * N, budget, replace=False))
-
-
-def stft_of_wigner_check(f, g, phi, psi, A) -> float:
-    """Max deviation between V_Phi W^A_{f,g} and the two-STFT product form
-
-        e^{-2i pi <y,xi>/n} (V_phi f)(x-Ay, xi-(A*-I)eta)
-                       conj((V_psi g)(x-(A-I)y, xi-A*eta)).
-
-    Exact (fp roundoff) in mode "mod" with integer A.  Streams the left
-    side by frequency columns (eta, y), each exact over all translations
-    (x, xi); above FOURD_LIMIT 4d entries it reads a fixed sample of
-    columns, and raises SizeLimit when not one column fits.
-    """
-    grid = f.grid
-    Aint = _integer_matrix(grid, A)
-    columns = _check_columns(grid)
-    N, n = grid.size, grid.n
-    Vf, Vg = stft(f, phi).data, stft(g, psi).data
-    Bint = Aint - np.eye(grid.d, dtype=np.int64)
-    coords = index_coords(grid)
-    block_max = []
-    for k, lhs in _stft_columns(wigner(f, g, A), wigner(phi, psi, A), columns):
-        eta, y = k // N, k % N
-        rhs = Vf[_shear(grid, -Aint, y)[:, :, None], _shear(grid, -Bint.T, eta)[:, None, :]]
-        rhs *= np.exp(-2j * np.pi * ((coords[y] @ coords.T) % n) / n)[:, None, :]  # e^{-2i pi <y, xi>/n}
-        Vg_sheared = Vg[_shear(grid, -Bint, y)[:, :, None], _shear(grid, -Aint.T, eta)[:, None, :]]
-        rhs *= np.conj(Vg_sheared, out=Vg_sheared)
-        rhs -= lhs
-        del lhs, Vg_sheared
-        block_max.append(np.abs(rhs).max())
-        del rhs  # no array of this block is alive while the stream computes the next
-    return float(np.max(block_max))  # a NaN block makes the result NaN
-
-
-def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
-    """Max deviation of the transfer/STFT commutation identity
-
-        (V_{T_A phi}(T_A a))(x, xi, eta, y)
-            = e^{2i pi <A y, eta>/n} (V_phi a)(x + A y, xi + A* eta, eta, y)
-
-    Both sides stream by frequency columns (eta, y); each column's right
-    side is its own translations (x, xi) shifted by (A y, A* eta), exact
-    over all of them.  Each stream holds one block at a time: a block's
-    arrays are dropped before the next block is computed.  Above
-    FOURD_LIMIT 4d entries a fixed sample of columns is read, and SizeLimit
-    raised when not one column fits.  Exactly zero at A = 0; requires mode
-    "mod" and integer A.
-    """
-    grid = a.grid
-    Aint = _integer_matrix(grid, A)
-    columns = _check_columns(grid)
-    N, n = grid.size, grid.n
-    coords = index_coords(grid)
-    block_max = []
-    lhs_columns = _stft_columns(symbol_transfer(a, A), symbol_transfer(phi, A), columns)
-    for k, V in _stft_columns(a, phi, columns):
-        eta, y = k // N, k % N
-        dot = np.sum((coords[y] @ Aint.T) * coords[eta], axis=1) % n  # <A y, eta>
-        rhs = V[np.arange(len(k))[:, None, None], _shear(grid, Aint, y)[:, :, None],
-                _shear(grid, Aint.T, eta)[:, None, :]]
-        rhs *= np.exp(2j * np.pi * dot / n)[:, None, None]
-        del V  # V goes before the left side's block is computed
-        rhs -= next(lhs_columns)[1]
-        block_max.append(np.abs(rhs).max())
-        del rhs  # no array of this block is alive while the streams compute the next
-    return float(np.max(block_max))  # a NaN block makes the result NaN

@@ -20,15 +20,10 @@ from psdo import (
     kernel_route,
     symbol_transfer,
     wigner,
-    stft_of_wigner_check,
-    expop_stft_check,
     gaussian_window,
     sharp,
-    sharp_transfer_check,
     schatten_norm,
     symbol_schatten_norm,
-    duality_check,
-    hoelder_check,
     modulation_norm,
     symbol_modulation_norm,
     mixed_norm,
@@ -43,6 +38,7 @@ from psdo.modspace import (
 )
 from psdo.schemes import SchemeSpec, quantize_scheme, born_jordan_quadrature, psi, psi0, sphere_average_exp
 from psdo.wigner import TimeFrequencyArray
+from psdo.verify import stft_of_wigner_check, expop_stft_check, sharp_transfer_check, duality_check, hoelder_check
 from psdo.cli import main as cli_main
 
 from reference import naive_stft, naive_wigner_mod, naive_phase_space_stft

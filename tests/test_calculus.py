@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from psdo import GridSpec, Symbol, quantize, sharp, sharp_n, sharp_transfer_check
+from psdo import GridSpec, Symbol, quantize, sharp, sharp_n
 from psdo.calculus import SharpProductRequest, alg_hypotheses_report
 from psdo.modspace import ExponentTuple, trivial_weight, SYMBOL_AXES
 from psdo.errors import ArityMismatch
+from psdo.verify import sharp_transfer_check
 
 
 def test_sharp_unit_law(rng, grid9):

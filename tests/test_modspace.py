@@ -40,7 +40,8 @@ from psdo.modspace import (
     _modulation_norms,
 )
 from psdo.grid import rep_axis
-from psdo.schatten import duality_check, hoelder_check, schatten_norm
+from psdo.schatten import schatten_norm
+from psdo.verify import duality_check, hoelder_check
 from psdo.wigner import TimeFrequencyArray, phase_space_stft
 from psdo.errors import (
     ArityMismatch,

@@ -30,13 +30,12 @@ from psdo import (
     SchemeSpec,
     symbol_modulation_norm,
     MixedNormParams,
-    expop_stft_check,
-    stft_of_wigner_check,
 )
 import psdo.grid
 from psdo.cli import _hermiticity_defect
 from psdo.quantizer import MatrixParam, as_matrix_param
 from psdo.errors import ModeMismatch, InvalidParams
+from psdo.verify import expop_stft_check, stft_of_wigner_check
 
 from reference import naive_transfer, naive_op0
 
@@ -432,17 +431,19 @@ _A2 = [[0.3, -0.7], [0.25, 0.5]]
 # 810 KB each), rounded up from the measured peak: a kernel-formula call
 # computes its result in the one buffer it returns, beside its phase tables
 # and one gather block of grid._BLOCK_ENTRIES entries, so a second N x N
-# buffer for the gather, or kernel_route's dense phase built whole, fails
+# buffer for the gather, or kernel_route's dense phase built whole, fails;
+# sharp holds its two factors' kernels and their product
 _PEAK_BUFFERS = {
     "quantize": (lambda a, T: quantize(a, _A2), 1.7),
     "quantize_zero": (lambda a, T: quantize(a, 0.0), 1.5),
     "kernel_route": (lambda a, T: kernel_route(a, _A2), 1.7),
     "born_jordan": (lambda a, T: quantize_scheme(a, SchemeSpec("born_jordan", {})), 2.5),
-    "un_avg": (lambda a, T: quantize_scheme(a, SchemeSpec("un_avg", {"r": 0.5, "angle_nodes": 4})), 3.5),
+    "un_avg": (lambda a, T: quantize_scheme(a, SchemeSpec("un_avg", {"r": 0.5, "angle_nodes": 4})), 2.6),
     "un_avg_time": (lambda a, T: quantize_scheme(
-        a, SchemeSpec("un_avg_time", {"r": 0.5, "t_nodes": 3, "angle_nodes": 4})), 3.5),
+        a, SchemeSpec("un_avg_time", {"r": 0.5, "t_nodes": 3, "angle_nodes": 4})), 2.6),
     "dequantize": (lambda a, T: dequantize(T, _A2), 1.3),
     "symbol_transfer": (lambda a, T: symbol_transfer(a, _A2), 1.3),
+    "sharp": (lambda a, T: sharp(a, a, _A2), 3.1),
 }
 
 

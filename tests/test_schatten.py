@@ -14,12 +14,11 @@ from psdo import (
     schatten_norm,
     symbol_schatten_norm,
     trace_pairing,
-    duality_check,
-    hoelder_check,
     rank_one_symbol,
     symbol_transfer,
 )
 from psdo.errors import DimMismatch, InvalidExponent, InvalidParams
+from psdo.verify import duality_check, hoelder_check
 
 
 def test_singular_values_examples():

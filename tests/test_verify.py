@@ -11,6 +11,7 @@ import pytest
 
 import psdo.verify as verify
 from psdo.cli import main
+from psdo.errors import SizeLimit
 from psdo.validation import validate
 
 
@@ -114,3 +115,35 @@ def test_each_check_draws_from_the_stream_of_its_name(monkeypatch):
     for threads in (1, 2):
         report = verify.run_suite("schemes", 9, 1, 7, threads=threads)
         assert [c["measure"] for c in report["checks"]] == want
+
+
+def test_fold_names_the_draw_that_set_the_measure():
+    assert verify._fold([0.1, 0.5, 0.2, 0.5]) == (0.5, 1)  # the first maximum
+    measure, draw = verify._fold([0.1, math.inf, math.nan, math.nan])
+    assert math.isnan(measure) and draw == 2  # the first NaN
+    assert verify._fold([0.3]) == (0.3, 0)
+    assert verify._fold([]) == (None, None)
+
+
+def test_timing_sidecar_writes_each_checks_worst_draw(monkeypatch, capsys, tmp_path):
+    # the sidecar carries the worst draw's index, the report and table keep their bytes
+    def draws(*devs):
+        return lambda ctx: iter(devs)
+
+    def skipped(ctx):
+        raise SizeLimit("over the cap")
+        yield
+
+    checks = [verify.CheckDef("late", "schemes", "sentinel", 1.0, draws(0.1, 0.2, 0.7, 0.3, 0.7)),
+              verify.CheckDef("first", "schemes", "sentinel", 1.0, draws(0.9, 0.2)),
+              verify.CheckDef("skip", "schemes", "sentinel", 1.0, skipped)]
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    plain, timed, timing = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "timing.json"
+    assert main(["verify", "schemes", "--n", "9", "--seed", "7", "--json-out", str(plain)]) == 0
+    table = capsys.readouterr().out
+    assert main(["verify", "schemes", "--n", "9", "--seed", "7", "--json-out", str(timed),
+                 "--timing-out", str(timing)]) == 0
+    assert capsys.readouterr().out == table and timed.read_bytes() == plain.read_bytes()
+    sidecar = json.loads(timing.read_text())
+    assert [(c["name"], c["worst_draw"]) for c in sidecar["checks"]] == [("late", 2), ("first", 0), ("skip", None)]
+    assert all("worst_draw" not in c for c in json.loads(plain.read_text())["checks"])

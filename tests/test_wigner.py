@@ -14,13 +14,11 @@ from psdo import (
     rank_one_symbol,
     stft,
     wigner,
-    weyl_wigner_stft_relation_check,
-    stft_of_wigner_check,
-    expop_stft_check,
 )
 from psdo.wigner import phase_space_stft, FOURD_LIMIT, TimeFrequencyArray, _stft_columns
 from psdo.modspace import SYMBOL_AXES, MixedNormParams, make_weight, modulation_norm, symbol_modulation_norm
 from psdo.errors import DimMismatch, ModeMismatch, SizeLimit, ZeroWindow
+from psdo.verify import weyl_wigner_stft_relation_check, stft_of_wigner_check, expop_stft_check
 
 from reference import naive_stft, naive_wigner_mod, naive_phase_space_stft
 
