@@ -3,10 +3,11 @@ library relies on, runnable at a chosen grid size with a fixed seed.
 
 Each check is a generator that yields one deviation per draw, or its single
 value once; the runner folds them into the check's measure with a max that
-a NaN on any draw makes NaN.  Each check draws from its own PRNG stream,
-ctx.rng(), seeded by the global seed and the check's registered name, so
-reports are byte-reproducible regardless of execution order or thread
-count.  Checks with tolerance None are report-only: they record an
+a NaN on any draw makes NaN.  The runner calls a check as fn(ctx, grid,
+rng): grid is the (d, n) grid in the mode the check registered ("real" by
+default), rng its own PRNG stream, seeded by the global seed and the
+check's registered name, so reports are byte-reproducible regardless of
+execution order or thread count.  Checks with tolerance None are report-only: they record an
 empirical constant without judging it.  A non-finite measure (NaN or
 +-inf) fails its check, report-only or not, as does a check that yields
 nothing; its entry has measure null and a note naming the value.  A check
@@ -75,15 +76,16 @@ class CheckDef:
     suite: str
     identity: str
     tolerance: float  # None = report-only
-    fn: object  # ctx -> iterable of deviations
+    fn: object  # (ctx, grid, rng) -> iterable of deviations
+    mode: str = "real"  # the mode of the grid the check is handed
 
 
 CHECKS: list = []
 
 
-def check(name, suite, identity, tolerance):
+def check(name, suite, identity, tolerance, mode="real"):
     def deco(fn):
-        CHECKS.append(CheckDef(name, suite, identity, tolerance, fn))
+        CHECKS.append(CheckDef(name, suite, identity, tolerance, fn, mode))
         return fn
 
     return deco
@@ -133,12 +135,10 @@ def _unit_signal(grid, rng) -> Signal:
 
 @check("transfer_composition", "calculus",
        "Op_A1(a) == Op_A2(T_{A1-A2} a) for (A1,A2) in {(0,1/2),(1,0),(0.37,-0.2)}", 1e-11)
-def _c_transfer_composition(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_transfer_composition(ctx, grid, rng):
     for a1, a2 in ((0.0, 0.5), (1.0, 0.0), (0.37, -0.2)):
-        A1 = MatrixParam.scalar(a1, ctx.d)
-        A2 = MatrixParam.scalar(a2, ctx.d)
+        A1 = MatrixParam.scalar(a1, grid.d)
+        A2 = MatrixParam.scalar(a2, grid.d)
         for _ in range(20):
             a = Symbol.random(grid, rng)
             lhs = quantize(a, A1)
@@ -155,110 +155,88 @@ def _kernel_formula_devs(a, A):
 
 
 @check("kernel_route_mod", "calculus",
-       "kernel formula (quantize, kernel_route) == multiplier route, integer A in {0,1,-1}, mode mod", 1e-12)
-def _c_kernel_route_mod(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
+       "kernel formula (quantize, kernel_route) == multiplier route, integer A in {0,1,-1}, mode mod", 1e-12,
+       mode="mod")
+def _c_kernel_route_mod(ctx, grid, rng):
     for t in (0, 1, -1):
-        A = MatrixParam.scalar(t, ctx.d)
         for _ in range(5):
-            yield from _kernel_formula_devs(_unit_symbol(grid, rng), A)
+            yield from _kernel_formula_devs(_unit_symbol(grid, rng), t)
 
 
 @check("kernel_route_real", "calculus",
        "kernel formula (quantize, kernel_route; interpolated) == multiplier route, real A", 1e-12)
-def _c_kernel_route_real(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_kernel_route_real(ctx, grid, rng):
     for t in (0.5, 0.37, -0.2):
-        A = MatrixParam.scalar(t, ctx.d)
         for _ in range(3):
-            yield from _kernel_formula_devs(_unit_symbol(grid, rng), A)
+            yield from _kernel_formula_devs(_unit_symbol(grid, rng), t)
 
 
 @check("transfer_unitarity", "calculus", "||T_A a||_2 == ||a||_2", 1e-12)
-def _c_transfer_unitarity(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_transfer_unitarity(ctx, grid, rng):
     for _ in range(5):
         a = Symbol.random(grid, rng)
-        A = MatrixParam(rng.standard_normal((ctx.d, ctx.d)))
+        A = MatrixParam(rng.standard_normal((grid.d, grid.d)))
         ta = symbol_transfer(a, A)
         yield _rel(abs(ta.norm() - a.norm()), a.norm())
 
 
 @check("transfer_group_law", "calculus", "T_A T_B == T_{A+B}", 1e-12)
-def _c_transfer_group(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_transfer_group(ctx, grid, rng):
     for _ in range(5):
         a = _unit_symbol(grid, rng)
-        A = MatrixParam(rng.standard_normal((ctx.d, ctx.d)))
-        B = MatrixParam(rng.standard_normal((ctx.d, ctx.d)))
+        A = MatrixParam(rng.standard_normal((grid.d, grid.d)))
+        B = MatrixParam(rng.standard_normal((grid.d, grid.d)))
         lhs = symbol_transfer(symbol_transfer(a, B), A)
         rhs = symbol_transfer(a, A + B)
         yield float(np.abs(lhs.data - rhs.data).max())
 
 
 @check("dequantize_roundtrip", "calculus", "dequantize(quantize(a, A), A) == a", 1e-12)
-def _c_dequantize_roundtrip(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_dequantize_roundtrip(ctx, grid, rng):
     for t in (0.0, 0.37, 0.5):
-        A = MatrixParam.scalar(t, ctx.d)
         a = Symbol.random(grid, rng)
-        back = dequantize(quantize(a, A), A)
+        back = dequantize(quantize(a, t), t)
         yield _rel(np.linalg.norm(back.data - a.data), a.norm())
 
 
 @check("op_constant_symbol", "calculus", "Op_A(1) == identity matrix", 1e-12)
-def _c_op_constant(ctx):
-    grid = ctx.grid("real")
+def _c_op_constant(ctx, grid, rng):
     eye = np.eye(grid.size)
     for t in (0.0, 0.37, 0.5):
-        K = quantize(Symbol.constant(grid), MatrixParam.scalar(t, ctx.d))
+        K = quantize(Symbol.constant(grid), t)
         yield float(np.abs(K.data - eye).max())
 
 
 @check("weyl_self_adjoint", "calculus", "real symbol, A = I/2: Op is Hermitian", 1e-11)
-def _c_weyl_self_adjoint(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_weyl_self_adjoint(ctx, grid, rng):
     for _ in range(5):
         a = Symbol(grid, rng.standard_normal((grid.size, grid.size)).astype(complex))
-        K = quantize(a, MatrixParam.weyl(ctx.d)).data
+        K = quantize(a, 0.5).data
         yield _rel(np.linalg.norm(K - K.conj().T), np.linalg.norm(K))
 
 
 @check("adjoint_law", "calculus", "Op_A(a)^* == Op_{I-A}(conj a), A non-symmetric included", 1e-12)
-def _c_adjoint_law(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_adjoint_law(ctx, grid, rng):
     for _ in range(5):
         a = Symbol.random(grid, rng)
-        A = MatrixParam(rng.standard_normal((ctx.d, ctx.d)))
+        A = MatrixParam(rng.standard_normal((grid.d, grid.d)))
         lhs = quantize(a, A).data.conj().T
-        rhs = quantize(Symbol(grid, a.data.conj()), MatrixParam(np.eye(ctx.d)) - A).data
+        rhs = quantize(Symbol(grid, a.data.conj()), MatrixParam(np.eye(grid.d)) - A).data
         yield _rel(np.abs(lhs - rhs).max(), np.linalg.norm(rhs))
 
 
 @check("sharp_unit_law", "calculus", "1 #_A b == b #_A 1 == b", 1e-12)
-def _c_sharp_unit(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_sharp_unit(ctx, grid, rng):
     one = Symbol.constant(grid)
     for t in (0.0, 0.5, 0.37):
-        A = MatrixParam.scalar(t, ctx.d)
         b = _unit_symbol(grid, rng)
-        yield float(np.abs(sharp(one, b, A).data - b.data).max())
-        yield float(np.abs(sharp(b, one, A).data - b.data).max())
+        yield float(np.abs(sharp(one, b, t).data - b.data).max())
+        yield float(np.abs(sharp(b, one, t).data - b.data).max())
 
 
 @check("sharp_associativity", "calculus", "(a # b) # c == a # (b # c)", 1e-11)
-def _c_sharp_assoc(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
-    A = MatrixParam.weyl(ctx.d)
+def _c_sharp_assoc(ctx, grid, rng):
+    A = 0.5
     for _ in range(3):
         a, b, c = (_unit_symbol(grid, rng) for _ in range(3))
         lhs = sharp(sharp(a, b, A), c, A)
@@ -284,9 +262,7 @@ def sharp_transfer_check(a: Symbol, b: Symbol, A, B) -> float:
 
 @check("sharp_transfer", "calculus",
        "a #_A b == T_{A-B}^{-1}((T_{A-B}a) #_B (T_{A-B}b))", 1e-11)
-def _c_sharp_transfer(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _c_sharp_transfer(ctx, grid, rng):
     for A, B in ((0.5, 0.0), (0.0, 0.5), (0.37, -0.2)):
         a = _unit_symbol(grid, rng)
         b = _unit_symbol(grid, rng)
@@ -294,11 +270,9 @@ def _c_sharp_transfer(ctx):
 
 
 @check("sharp_homomorphism", "calculus",
-       "Op_A(a #_A b) == Op_A(a) Op_A(b), Op through the dense-phase kernel route", 1e-11)
-def _c_sharp_homomorphism(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
-    A = MatrixParam.scalar(1, ctx.d)
+       "Op_A(a #_A b) == Op_A(a) Op_A(b), Op through the dense-phase kernel route", 1e-11, mode="mod")
+def _c_sharp_homomorphism(ctx, grid, rng):
+    A = 1
     for _ in range(3):
         a = _unit_symbol(grid, rng)
         b = _unit_symbol(grid, rng)
@@ -313,33 +287,31 @@ def _c_sharp_homomorphism(ctx):
 
 @check("rank_one", "wigner",
        "quantize(n^{d/2} W^A_{f1,f2}, A) == outer(f1, conj f2), A in {0, 1, 1/2}", 1e-12)
-def _w_rank_one(ctx):
+def _w_rank_one(ctx, _grid, _rng):
     for t, mode in ((0, "mod"), (1, "mod"), (0.5, "real")):
         grid = ctx.grid(mode)
         rng = ctx.rng(f"rank_one_{t}_{mode}")
-        A = MatrixParam.scalar(t, ctx.d)
         scale = grid.size ** (0.5)
         for _ in range(20):
             f1 = _unit_signal(grid, rng)
             f2 = _unit_signal(grid, rng)
-            W = wigner(f1, f2, A).data
-            Q = quantize(Symbol(grid, scale * W), A).data
+            W = wigner(f1, f2, t).data
+            Q = quantize(Symbol(grid, scale * W), t).data
             yield float(np.abs(Q - np.outer(f1.data, np.conj(f2.data))).max())
 
 
 @check("wigner_pseudo_link", "wigner",
        "(Op_A(a) f, g) == n^{-d/2} (a, W^A_{g,f}), both modes", 1e-11)
-def _w_link(ctx):
+def _w_link(ctx, _grid, _rng):
     for t, mode in ((1, "mod"), (0.37, "real"), (0.5, "real")):
         grid = ctx.grid(mode)
         rng = ctx.rng(f"link_{t}_{mode}")
-        A = MatrixParam.scalar(t, ctx.d)
         for _ in range(20):
             a = Symbol.random(grid, rng)
             f = Signal.random(grid, rng)
             g = Signal.random(grid, rng)
-            lhs = np.vdot(g.data, quantize(a, A).data @ f.data)
-            W = wigner(g, f, A).data
+            lhs = np.vdot(g.data, quantize(a, t).data @ f.data)
+            W = wigner(g, f, t).data
             rhs = np.vdot(W, a.data) / np.sqrt(grid.size)
             yield _rel(abs(lhs - rhs), abs(lhs))
 
@@ -371,27 +343,23 @@ def _direct_wigner_mod(f1: Signal, f2: Signal, A) -> np.ndarray:
 
 
 @check("wigner_mod_equals_real", "wigner",
-       "direct modular Wigner sum == dequantization route for integer A", 1e-12)
-def _w_mod_real(ctx):
-    rng = ctx.rng()
+       "direct modular Wigner sum == dequantization route for integer A", 1e-12, mode="mod")
+def _w_mod_real(ctx, grid, rng):
+    real = ctx.grid("real")
     for t in (0, 1, -1):
-        gm = ctx.grid("mod")
-        gr = ctx.grid("real")
-        f1 = _unit_signal(gm, rng)
-        f2 = _unit_signal(gm, rng)
-        Wm = _direct_wigner_mod(f1, f2, MatrixParam.scalar(t, ctx.d))
-        Wr = wigner(Signal(gr, f1.data), Signal(gr, f2.data), MatrixParam.scalar(t, ctx.d)).data
+        f1 = _unit_signal(grid, rng)
+        f2 = _unit_signal(grid, rng)
+        Wm = _direct_wigner_mod(f1, f2, t)
+        Wr = wigner(Signal(real, f1.data), Signal(real, f2.data), t).data
         yield float(np.abs(Wm - Wr).max())
 
 
 @check("wigner_kn_closed_form", "wigner",
-       "W^0(j,k) == f1(j) e^{-2i pi <j,k>/n} conj((F f2)(k))", 1e-12)
-def _w_kn_closed(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
+       "W^0(j,k) == f1(j) e^{-2i pi <j,k>/n} conj((F f2)(k))", 1e-12, mode="mod")
+def _w_kn_closed(ctx, grid, rng):
     f1 = _unit_signal(grid, rng)
     f2 = _unit_signal(grid, rng)
-    W = wigner(f1, f2, MatrixParam.zero(ctx.d)).data
+    W = wigner(f1, f2, 0.0).data
     coords = index_coords(grid)
     dot = (coords @ coords.T) % grid.n
     closed = f1.data[:, None] * np.exp(-2j * np.pi * dot / grid.n) * np.conj(dft(f2).data)[None, :]
@@ -399,9 +367,7 @@ def _w_kn_closed(ctx):
 
 
 @check("stft_moyal", "wigner", "||V_phi f||_2 == ||phi||_2 ||f||_2", 1e-12)
-def _w_stft_moyal(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _w_stft_moyal(ctx, grid, rng):
     for _ in range(5):
         f = Signal.random(grid, rng)
         phi = Signal.random(grid, rng)
@@ -410,14 +376,12 @@ def _w_stft_moyal(ctx):
 
 
 @check("wigner_moyal", "wigner",
-       "||W^A_{f1,f2}||_2 == ||f1||_2 ||f2||_2, integer A (unimodular shear)", 1e-11)
-def _w_wigner_moyal(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
+       "||W^A_{f1,f2}||_2 == ||f1||_2 ||f2||_2, integer A (unimodular shear)", 1e-11, mode="mod")
+def _w_wigner_moyal(ctx, grid, rng):
     for t in (0, 1, 2):
         f1 = Signal.random(grid, rng)
         f2 = Signal.random(grid, rng)
-        W = wigner(f1, f2, MatrixParam.scalar(t, ctx.d))
+        W = wigner(f1, f2, t)
         yield _rel(abs(W.norm() - f1.norm() * f2.norm()), f1.norm() * f2.norm())
 
 
@@ -437,7 +401,7 @@ def weyl_wigner_stft_relation_check(f: Signal, phi: Signal) -> float:
         raise ModeMismatch("relation uses 2^{-1} mod n; requires mode 'mod'")
     n = grid.n
     h = (n + 1) // 2
-    W = wigner(f, phi, MatrixParam.scalar(h, grid.d)).data
+    W = wigner(f, phi, h).data
     coords = index_coords(grid)
     neg = flatten_coords(grid, -coords)
     phicheck = Signal(grid, phi.data[neg])
@@ -450,10 +414,8 @@ def weyl_wigner_stft_relation_check(f: Signal, phi: Signal) -> float:
 
 
 @check("weyl_wigner_stft_relation", "wigner",
-       "W^{(n+1)/2 I}_{f,phi}(j,k) == e^{4i pi <j,k>/n} V_{phi^}f(2j, 2k)", 1e-10)
-def _w_weyl_wigner_stft(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
+       "W^{(n+1)/2 I}_{f,phi}(j,k) == e^{4i pi <j,k>/n} V_{phi^}f(2j, 2k)", 1e-10, mode="mod")
+def _w_weyl_wigner_stft(ctx, grid, rng):
     for _ in range(3):
         f = _unit_signal(grid, rng)
         phi = _unit_signal(grid, rng)
@@ -493,14 +455,12 @@ def stft_of_wigner_check(f, g, phi, psi, A) -> float:
 
 
 @check("stft_of_wigner", "wigner",
-       "V_{W^A_{phi,psi}} W^A_{f,g} == phase-sheared product of two STFTs, A in {0,1}", 1e-10)
-def _w_stft_of_wigner(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
+       "V_{W^A_{phi,psi}} W^A_{f,g} == phase-sheared product of two STFTs, A in {0,1}", 1e-10, mode="mod")
+def _w_stft_of_wigner(ctx, grid, rng):
     for t in (0, 1):
         f, g = _unit_signal(grid, rng), _unit_signal(grid, rng)
         phi, psi = _unit_signal(grid, rng), _unit_signal(grid, rng)
-        yield stft_of_wigner_check(f, g, phi, psi, MatrixParam.scalar(t, ctx.d))
+        yield stft_of_wigner_check(f, g, phi, psi, t)
 
 
 def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
@@ -538,24 +498,21 @@ def expop_stft_check(a: Symbol, phi: Symbol, A) -> float:
 
 
 @check("expop_stft_zero", "wigner",
-       "transfer/STFT commutation at A = 0 is an exact identity (deviation 0.0)", 0.0)
-def _w_expop_zero(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
+       "transfer/STFT commutation at A = 0 is an exact identity (deviation 0.0)", 0.0, mode="mod")
+def _w_expop_zero(ctx, grid, rng):
     a = _unit_symbol(grid, rng)
     phi = _unit_symbol(grid, rng)
-    yield expop_stft_check(a, phi, MatrixParam.zero(ctx.d))
+    yield expop_stft_check(a, phi, 0.0)
 
 
 @check("expop_stft", "wigner",
-       "V_{T_A phi}(T_A a)(x,xi,eta,y) == e^{2i pi <Ay,eta>/n} V_phi a(x+Ay, xi+A*eta, eta, y)", 1e-10)
-def _w_expop(ctx):
-    grid = ctx.grid("mod")
-    rng = ctx.rng()
+       "V_{T_A phi}(T_A a)(x,xi,eta,y) == e^{2i pi <Ay,eta>/n} V_phi a(x+Ay, xi+A*eta, eta, y)", 1e-10,
+       mode="mod")
+def _w_expop(ctx, grid, rng):
     for t in (1, -1):
         a = _unit_symbol(grid, rng)
         phi = _unit_symbol(grid, rng)
-        yield expop_stft_check(a, phi, MatrixParam.scalar(t, ctx.d))
+        yield expop_stft_check(a, phi, t)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +521,7 @@ def _w_expop(ctx):
 
 @check("modulation_norm_l2", "modspace",
        "M^{2,2} norm with unit window == l2 norm", 1e-12)
-def _m_modnorm_l2(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _m_modnorm_l2(ctx, grid, rng):
     params = MixedNormParams(2, 2)
     for _ in range(5):
         f = Signal.random(grid, rng)
@@ -575,18 +530,15 @@ def _m_modnorm_l2(ctx):
 
 @check("symbol_modulation_norm_l2", "modspace",
        "symbol M^{2,2} norm with unit window == Frobenius norm", 1e-12)
-def _m_symbol_modnorm_l2(ctx):
-    grid = ctx.grid("real")
-    a = Symbol.random(grid, ctx.rng())
+def _m_symbol_modnorm_l2(ctx, grid, rng):
+    a = Symbol.random(grid, rng)
     val = ms.symbol_modulation_norm(a, MixedNormParams(2, 2))
     yield _rel(abs(val - a.norm()), a.norm())
 
 
 @check("mixed_norm_monotonicity", "modspace",
        "p1 <= p2 implies ||.||_{l^{p2}} <= ||.||_{l^{p1}} in each slot", 1e-14)
-def _m_monotonicity(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _m_monotonicity(ctx, grid, rng):
     from .wigner import TimeFrequencyArray
 
     F = TimeFrequencyArray(grid, rng.standard_normal((grid.size, grid.size))
@@ -604,9 +556,7 @@ def _m_monotonicity(ctx):
 
 @check("window_equivalence", "modspace",
        "two fixed windows give equivalent M^{p,q} norms; reports the worst ratio", None)
-def _m_window_equiv(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _m_window_equiv(ctx, grid, rng):
     phi1 = gaussian_window(grid)
     shift = np.exp(2j * np.pi * rep_coords(grid).sum(axis=1) / grid.n)
     phi2 = Signal(grid, (phi1.data + 0.3 * shift * phi1.data))
@@ -619,16 +569,14 @@ def _m_window_equiv(ctx):
 
 
 @check("moderate_trivial", "modspace", "omega == 1 is 1-moderate with constant 1", 1e-15)
-def _m_moderate_trivial(ctx):
-    grid = ctx.grid("real")
+def _m_moderate_trivial(ctx, grid, rng):
     _, c = ms.moderate_check(trivial_weight(), trivial_weight(), grid)
     yield abs(c - 1.0)
 
 
 @check("moderate_peetre", "modspace",
        "polynomial(1) is polynomial(1)-moderate with constant <= sqrt(2)", 1e-9)
-def _m_moderate_peetre(ctx):
-    grid = ctx.grid("real")
+def _m_moderate_peetre(ctx, grid, rng):
     w = make_weight("polynomial", s=1.0)
     _, c = ms.moderate_check(w, w, grid)
     yield _excess(c - math.sqrt(2.0))
@@ -636,8 +584,7 @@ def _m_moderate_peetre(ctx):
 
 @check("moderate_exponential", "modspace",
        "exponential(1,1) is self-moderate with constant <= 1 (triangle inequality)", 1e-9)
-def _m_moderate_exponential(ctx):
-    grid = ctx.grid("real")
+def _m_moderate_exponential(ctx, grid, rng):
     w = make_weight("exponential", c=1.0, s=1.0)
     _, c = ms.moderate_check(w, w, grid)
     yield _excess(c - 1.0)
@@ -645,7 +592,7 @@ def _m_moderate_exponential(ctx):
 
 @check("exponent_functional_values", "modspace",
        "Hoelder-Young functional and predicate spot values (exact rationals)", 0.5)
-def _m_exponent_values(ctx):
+def _m_exponent_values(ctx, grid, rng):
     from fractions import Fraction
 
     bad = 0
@@ -667,12 +614,11 @@ def _m_exponent_values(ctx):
 
 @check("weight_bounds_trivial", "modspace",
        "all weight-condition constants equal 1 for trivial weights", 1e-12)
-def _m_weight_trivial(ctx):
-    grid = ctx.grid("real")
+def _m_weight_trivial(ctx, grid, rng):
     one2 = trivial_weight(ms.TF_AXES)
     one4s = trivial_weight(ms.SYMBOL_AXES)
     one4k = trivial_weight(ms.KERNEL_AXES)
-    A = MatrixParam.scalar(0.37, ctx.d)
+    A = 0.37
     for _, c in (
         ms.holds_kernel_weight_bound(one4k, one2, one2, grid),
         ms.holds_kernel_symbol_weight_equiv(one4k, one4s, A, grid),
@@ -685,11 +631,10 @@ def _m_weight_trivial(ctx):
 
 @check("wigner_weight_polynomial", "modspace",
        "polynomial weights satisfy the Wigner-map bound; reports the constant", None)
-def _m_weight_poly(ctx):
-    grid = ctx.grid("real")
+def _m_weight_poly(ctx, grid, rng):
     w0 = make_weight("polynomial", axes=ms.SYMBOL_AXES, s=2.0)
     w1 = make_weight("polynomial", s=1.0)
-    _, c = ms.holds_wigner_weight_bound(w0, w1, w1, MatrixParam.zero(ctx.d), grid)
+    _, c = ms.holds_wigner_weight_bound(w0, w1, w1, 0.0, grid)
     yield c
 
 
@@ -698,9 +643,7 @@ def _m_weight_poly(ctx):
 
 
 @check("hs_kernel_identity", "schatten", "||T||_{I_2} == Frobenius norm of the kernel", 1e-12)
-def _s_hs_kernel(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _s_hs_kernel(ctx, grid, rng):
     T = OperatorMatrix(grid, rng.standard_normal((grid.size, grid.size))
                        + 1j * rng.standard_normal((grid.size, grid.size)))
     yield _rel(abs(schatten_norm(T, 2) - T.norm()), T.norm())
@@ -708,23 +651,20 @@ def _s_hs_kernel(ctx):
 
 @check("symbol_hs_identity", "schatten",
        "||Op_A(a)||_{I_2} == n^{-d/2} ||a||_2 for every A", 1e-11)
-def _s_symbol_hs(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _s_symbol_hs(ctx, grid, rng):
     for t in (0.0, 0.5, 0.37):
         a = Symbol.random(grid, rng)
-        val = symbol_schatten_norm(a, MatrixParam.scalar(t, ctx.d), 2)
+        val = symbol_schatten_norm(a, t, 2)
         want = a.norm() / math.sqrt(grid.size)
         yield _rel(abs(val - want), want)
 
 
 @check("schatten_transfer_invariance", "schatten",
        "transferring a symbol between calculi preserves every Schatten norm", 1e-11)
-def _s_transfer_invariance(ctx):
-    grid = ctx.grid("real")
-    a = Symbol.random(grid, ctx.rng())
-    A1 = MatrixParam.scalar(0.5, ctx.d)
-    A2 = MatrixParam.scalar(-0.2, ctx.d)
+def _s_transfer_invariance(ctx, grid, rng):
+    a = Symbol.random(grid, rng)
+    A1 = MatrixParam.scalar(0.5, grid.d)
+    A2 = MatrixParam.scalar(-0.2, grid.d)
     a2 = symbol_transfer(a, A1 - A2)
     for p in (1.0, 2.0, math.inf):
         v1 = symbol_schatten_norm(a, A1, p)
@@ -734,8 +674,7 @@ def _s_transfer_invariance(ctx):
 
 @check("svd_eigen_consistency", "schatten",
        "singular values == sqrt of eigenvalues of T*T, nonincreasing", 1e-12)
-def _s_svd_eigen(ctx):
-    rng = ctx.rng()
+def _s_svd_eigen(ctx, grid, rng):
     T = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     sv = singular_values(T).values
     ev = np.sqrt(np.maximum(np.linalg.eigvalsh(T.conj().T @ T)[::-1], 0.0))
@@ -746,8 +685,7 @@ def _s_svd_eigen(ctx):
 
 @check("trace_pairing_entrywise", "schatten",
        "Tr(T2^* T1) == entrywise sum T1 conj(T2)", 1e-12)
-def _s_trace_pairing(ctx):
-    rng = ctx.rng()
+def _s_trace_pairing(ctx, grid, rng):
     T1 = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     T2 = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     lhs = trace_pairing(T1, T2)
@@ -782,9 +720,7 @@ def duality_check(T, p: float):
 
 @check("schatten_duality", "schatten",
        "||T||_{I_p} == sup over the I_{p'} unit ball of |(T, T0)_{I_2}|", 1e-10)
-def _s_duality(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _s_duality(ctx, grid, rng):
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         for m in (6, grid.size):
             T = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -808,8 +744,7 @@ def hoelder_check(T1, T2, p1: float, p2: float):
 
 @check("hoelder_composition", "schatten",
        "||T2 T1||_{I_r} <= ||T1||_{I_{p1}} ||T2||_{I_{p2}}, 1/r = 1/p1 + 1/p2", 1e-10)
-def _s_hoelder(ctx):
-    rng = ctx.rng()
+def _s_hoelder(ctx, grid, rng):
     for p1, p2 in ((1.0, math.inf), (2.0, 2.0), (4.0, 4.0 / 3.0)):
         for _ in range(34):
             T1 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -820,9 +755,7 @@ def _s_hoelder(ctx):
 
 @check("schatten_unitary_invariance", "schatten",
        "conjugating by the DFT matrix preserves Schatten norms", 1e-11)
-def _s_unitary_invariance(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _s_unitary_invariance(ctx, grid, rng):
     N = grid.size
     # DFT matrix of the flattened grid group Z_n^d
     coords = index_coords(grid)
@@ -835,16 +768,13 @@ def _s_unitary_invariance(ctx):
 
 @check("schatten_embedding_ratios", "schatten",
        "M^{1,1} >= s_{A,2} >= (scaled) M^{inf,inf} ordering; reports worst ratios", None)
-def _s_embedding_ratios(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
-    A = MatrixParam.weyl(ctx.d)
-    draws = 20 if ctx.n <= 17 else 5
+def _s_embedding_ratios(ctx, grid, rng):
+    draws = 20 if grid.n <= 17 else 5
     lo = MixedNormParams(1, 1)
     hi = MixedNormParams(math.inf, math.inf)
     for _ in range(draws):
         a = _unit_symbol(grid, rng)
-        s2 = symbol_schatten_norm(a, A, 2)
+        s2 = symbol_schatten_norm(a, 0.5, 2)
         m11, minf = ms._modulation_norms(a, (lo, hi))
         yield s2 / m11
         yield minf / s2
@@ -856,13 +786,11 @@ def _s_embedding_ratios(ctx):
 
 @check("bj_quadrature_vs_multiplier", "schemes",
        "Gauss-Legendre average of Op_t over [0,1] == sinc-multiplier closed form", 1e-12)
-def _q_bj(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _q_bj(ctx, grid, rng):
     spec = SchemeSpec("born_jordan")
     # the transfer phase reaches theta_max = 2 pi d ((n-1)/2)^2 / n; 20 nodes
     # resolve it to 1e-12 only for theta_max <~ 30, so scale the node count
-    theta_max = 2.0 * np.pi * ctx.d * ((ctx.n - 1) // 2) ** 2 / ctx.n
+    theta_max = 2.0 * np.pi * grid.d * ((grid.n - 1) // 2) ** 2 / grid.n
     nodes = max(20, int(math.ceil(theta_max / 2.0)) + 10)
     for _ in range(10):
         a = _unit_symbol(grid, rng)
@@ -872,28 +800,24 @@ def _q_bj(ctx):
 
 
 @check("t_half_equals_weyl", "schemes", "the t-scheme at t = 1/2 is the Weyl scheme", 0.0)
-def _q_t_half(ctx):
-    grid = ctx.grid("real")
-    a = Symbol.random(grid, ctx.rng())
+def _q_t_half(ctx, grid, rng):
+    a = Symbol.random(grid, rng)
     lhs = quantize_scheme(a, SchemeSpec("t", {"t": 0.5})).data
     rhs = quantize_scheme(a, SchemeSpec("weyl")).data
     yield float(np.abs(lhs - rhs).max())
 
 
 @check("un_avg_r0_equals_weyl", "schemes", "orthogonal average at r = 0 is exactly Weyl", 0.0)
-def _q_un_r0(ctx):
-    grid = ctx.grid("real")
-    a = Symbol.random(grid, ctx.rng())
+def _q_un_r0(ctx, grid, rng):
+    a = Symbol.random(grid, rng)
     lhs = quantize_scheme(a, SchemeSpec("un_avg", {"r": 0.0})).data
-    rhs = quantize(a, MatrixParam.weyl(ctx.d)).data
+    rhs = quantize(a, 0.5).data
     yield float(np.abs(lhs - rhs).max())
 
 
 @check("un_avg_multiplier_route", "schemes",
        "Haar-averaged quantization == Weyl quantization of the averaged-phase multiplier", 1e-11)
-def _q_un_multiplier(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _q_un_multiplier(ctx, grid, rng):
     for r in (0.0, 0.5, 1.0):
         a = _unit_symbol(grid, rng)
         direct = quantize_scheme(a, SchemeSpec("un_avg", {"r": r})).data
@@ -902,14 +826,12 @@ def _q_un_multiplier(ctx):
         ahat = dft(Signal(D, a.data.ravel())).data.reshape(mult.shape)
         ahat *= mult
         smoothed = Symbol(grid, idft(Signal(D, ahat.ravel())).data.reshape(ahat.shape))
-        routed = quantize(smoothed, MatrixParam.weyl(ctx.d)).data
+        routed = quantize(smoothed, 0.5).data
         yield float(np.abs(direct - routed).max())
 
 
 @check("un_avg_linearity", "schemes", "the averaged scheme is linear in the symbol", 1e-12)
-def _q_un_linear(ctx):
-    grid = ctx.grid("real")
-    rng = ctx.rng()
+def _q_un_linear(ctx, grid, rng):
     spec = SchemeSpec("un_avg", {"r": 0.7, "angle_nodes": 16})
     a, b = _unit_symbol(grid, rng), _unit_symbol(grid, rng)
     alpha, beta = 1.3 - 0.2j, -0.4 + 2.1j
@@ -921,9 +843,8 @@ def _q_un_linear(ctx):
 
 @check("scheme_hermiticity", "schemes",
        "real symbols map to Hermitian operators under every symmetric scheme", 1e-11)
-def _q_hermitian(ctx):
-    grid = ctx.grid("real")
-    a = Symbol(grid, ctx.rng().standard_normal((grid.size, grid.size)).astype(complex))
+def _q_hermitian(ctx, grid, rng):
+    a = Symbol(grid, rng.standard_normal((grid.size, grid.size)).astype(complex))
     for spec in (SchemeSpec("weyl"), SchemeSpec("born_jordan"),
                  SchemeSpec("un_avg", {"r": 0.5, "angle_nodes": 16}),
                  SchemeSpec("un_avg_time", {"r": 0.5, "t_nodes": 8, "angle_nodes": 16})):
@@ -932,20 +853,20 @@ def _q_hermitian(ctx):
 
 
 @check("psi1_cosh", "schemes", "psi_1 == cosh on [0, 5]", 1e-14)
-def _q_psi1(ctx):
+def _q_psi1(ctx, grid, rng):
     for r in np.linspace(0.0, 5.0, 41):
         yield abs(sch.psi(1, r) - math.cosh(r)) / math.cosh(r)
 
 
 @check("psi01_sinh", "schemes", "psi_{0,1} == sinh on [0, 5]", 1e-14)
-def _q_psi01(ctx):
+def _q_psi01(ctx, grid, rng):
     for r in np.linspace(0.0, 5.0, 41):
         yield abs(sch.psi0(1, r) - math.sinh(r)) / math.cosh(r)
 
 
 @check("psi0_d2_quadrature", "schemes",
        "termwise-integrated psi_{0,2} == Gauss-Legendre quadrature of psi_2", 1e-12)
-def _q_psi0_quad(ctx):
+def _q_psi0_quad(ctx, grid, rng):
     t, w = np.polynomial.legendre.leggauss(40)
     for r in (0.5, 1.0, 3.0):
         tt = 0.5 * r * (t + 1.0)
@@ -954,7 +875,7 @@ def _q_psi0_quad(ctx):
 
 
 @check("psi0_small_r_limit", "schemes", "psi_{0,d}(r)/r -> psi_d(0) as r -> 0+", 1e-9)
-def _q_psi0_limit(ctx):
+def _q_psi0_limit(ctx, grid, rng):
     r = 1e-6
     for d in (1, 2, 3, 4):
         yield abs(sch.psi0(d, r) / r - sch.psi(d, 0.0))
@@ -962,7 +883,7 @@ def _q_psi0_limit(ctx):
 
 @check("psi2_sphere_average", "schemes",
        "psi_2 series vs circle-average Monte Carlo: the ratio is rho-independent", 1e-3)
-def _q_psi2_sphere(ctx):
+def _q_psi2_sphere(ctx, grid, rng):
     ratios = [sch.sphere_average_exp(rho, samples=10**6, seed=ctx.seed + i) / sch.psi(2, rho)
               for i, rho in enumerate((0.5, 1.0, 2.0))]
     for r in ratios:
@@ -971,7 +892,7 @@ def _q_psi2_sphere(ctx):
 
 @check("un_multiplier_alternating_series", "schemes",
        "direct Haar phase average == psi series on the imaginary axis", 1e-10)
-def _q_un_alt_series(ctx):
+def _q_un_alt_series(ctx, grid, rng):
     for r in (0.3, 1.0, 2.5):
         for m, c in ((1.0, 1.0), (2.0, 0.7)):
             v1 = sch.un_avg_multiplier(1, r, [m], [c])
@@ -988,8 +909,7 @@ def _exp_i_sum(x):
 
 @check("un_multiplier_monte_carlo", "schemes",
        "O(2) multiplier: 64-node angle quadrature vs stratified Monte Carlo", 1e-3)
-def _q_un_mc(ctx):
-    rng = ctx.rng()
+def _q_un_mc(ctx, grid, rng):
     samples = 10**5
     for r, m, c in ((0.8, [1.0, 0.5], [0.25, 1.0]), (1.5, [2.0, 0.0], [0.0, 1.2])):
         quad = sch.un_avg_multiplier(2, r, m, c, angle_nodes=64)
@@ -1039,7 +959,8 @@ def _checked(cd: CheckDef, ctx: Context):
         "note": None,
     }
     try:
-        measure, worst_draw = _fold(cd.fn(replace(ctx, name=cd.name)))
+        ctx = replace(ctx, name=cd.name)
+        measure, worst_draw = _fold(cd.fn(ctx, ctx.grid(cd.mode), ctx.rng()))
     except (SizeLimit, UnsupportedDimension) as exc:  # skipped with its message
         entry["skipped"] = True
         entry["note"] = str(exc)

@@ -96,16 +96,16 @@ def test_an_infinite_window_ratio_is_a_failed_entry_not_an_abort(monkeypatch, ca
 
 
 def test_a_check_that_yields_nothing_fails():
-    silent = verify.CheckDef("silent", "schemes", "sentinel", None, lambda ctx: iter(()))
+    silent = verify.CheckDef("silent", "schemes", "sentinel", None, lambda ctx, grid, rng: iter(()))
     entry = verify._run_check(silent, verify.Context(9, 1, 7))
     assert entry["passed"] is False and entry["measure"] is None
     assert entry["note"] == "no deviation yielded"
 
 
 def test_each_check_draws_from_the_stream_of_its_name(monkeypatch):
-    # the runner keys ctx.rng() by the registered name, in threads too
-    def draw(ctx):
-        yield ctx.rng().random()
+    # the runner hands each check the stream of its registered name, in threads too
+    def draw(ctx, grid, rng):
+        yield rng.random()
 
     names = ("first", "second", "third")
     monkeypatch.setattr(verify, "CHECKS", [verify.CheckDef(name, "schemes", "sentinel", None, draw)
@@ -128,9 +128,9 @@ def test_fold_names_the_draw_that_set_the_measure():
 def test_timing_sidecar_writes_each_checks_worst_draw(monkeypatch, capsys, tmp_path):
     # the sidecar carries the worst draw's index, the report and table keep their bytes
     def draws(*devs):
-        return lambda ctx: iter(devs)
+        return lambda ctx, grid, rng: iter(devs)
 
-    def skipped(ctx):
+    def skipped(ctx, grid, rng):
         raise SizeLimit("over the cap")
         yield
 
