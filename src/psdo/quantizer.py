@@ -26,11 +26,12 @@ averages in :mod:`psdo.schemes`) are weighted sums of Op_A over a family
 of A; Op_A is linear in its phase, so each runs the same kernel formula
 once, in 3 FFT passes, with one averaged phase table (``_quantize_average``
 sums the row tables of its nodes; Born-Jordan's exact t-average is a
-lookup).  :func:`kernel_route` evaluates the same formula with a dense
-N x N phase, built one block of rows at a time, and unitary partial DFTs,
-all on one buffer, which checks the factored phase.  The independent
-oracle is :func:`multiplier_route`, Op_0(T_A a) =
-``quantize(symbol_transfer(a, A), 0)``.
+lookup).  :func:`multiplier_route`, Op_0(T_A a) =
+``quantize(symbol_transfer(a, A), 0)``, is independent of the kernel
+formula but shares ``_row_tables`` with quantize.  :func:`kernel_route`
+evaluates the formula with a dense N x N phase read from A itself, built
+one block of rows at a time, and unitary partial DFTs, all on one buffer:
+the route independent of the row tables, so it catches a table of A^T.
 """
 
 from __future__ import annotations

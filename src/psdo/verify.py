@@ -7,12 +7,13 @@ a NaN on any draw makes NaN.  The runner calls a check as fn(ctx, grid,
 rng): grid is the (d, n) grid in the mode the check registered ("real" by
 default), rng its own PRNG stream, seeded by the global seed and the
 check's registered name, so reports are byte-reproducible regardless of
-execution order or thread count.  Checks with tolerance None are report-only: they record an
-empirical constant without judging it.  A non-finite measure (NaN or
-+-inf) fails its check, report-only or not, as does a check that yields
-nothing; its entry has measure null and a note naming the value.  A check
-that hits a size cap (SizeLimit) or a dimension without Haar nodes
-(UnsupportedDimension) is skipped with the error's message as its note.
+execution order or thread count.  Checks with tolerance None are
+report-only: they record an empirical constant without judging it.  A
+non-finite measure (NaN or +-inf) fails its check, report-only or not, as
+does a check that yields nothing; its entry has measure null and a note
+naming the value.  A check that hits a size cap (SizeLimit) or a
+dimension without Haar nodes (UnsupportedDimension) is skipped with the
+error's message as its note.
 
 The identities that checks and tests evaluate as functions (the Wigner/STFT
 relations, the product transfer, Schatten duality and the Hoelder bound)
@@ -169,6 +170,30 @@ def _c_kernel_route_real(ctx, grid, rng):
     for t in (0.5, 0.37, -0.2):
         for _ in range(3):
             yield from _kernel_formula_devs(_unit_symbol(grid, rng), t)
+
+
+def _shear_family(d: int) -> list:
+    """Non-symmetric integer A for mode "mod": three shears of Z_n^2, in the
+    top-left block of I_d at d > 2; at d = 1, the scalars 2 and -3."""
+    if d == 1:
+        return [2.0, -3.0]
+    family = [np.eye(d) for _ in range(3)]
+    for A, S in zip(family, ([[1, 2], [0, 1]], [[2, -1], [1, 0]], [[1, 0], [3, 1]])):
+        A[:2, :2] = S
+    return family
+
+
+@check("kernel_route_matrix", "calculus",
+       "quantize == kernel_route at non-symmetric A: integer shears (mode mod), random real A", 1e-12,
+       mode="mod")
+def _c_kernel_route_matrix(ctx, grid, rng):
+    # kernel_route's dense phase reads A itself, not the row tables that
+    # quantize and multiplier_route share, so it sees a transposed table
+    cases = [(grid, A) for A in _shear_family(grid.d)]
+    cases += [(ctx.grid("real"), rng.standard_normal((grid.d, grid.d))) for _ in range(3)]
+    for g, A in cases:
+        a = _unit_symbol(g, rng)
+        yield float(np.abs(quantize(a, A).data - kernel_route(a, A).data).max())
 
 
 @check("transfer_unitarity", "calculus", "||T_A a||_2 == ||a||_2", 1e-12)
