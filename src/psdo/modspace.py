@@ -599,6 +599,7 @@ def holds_kernel_weight_bound(omega: Weight, omega1: Weight, omega2: Weight, gri
     omega1, omega2 are 2-block weights.  Returns (finite, C_est).
     """
     _require_axes(KERNEL_AXES, omega)
+    _require_axes(TF_AXES, omega1, omega2)
     d = grid.d
 
     def q(X, Y):
@@ -636,8 +637,10 @@ def holds_wigner_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A,
         omega0(T_A(Y, X)) <= C omega1(X) omega2(Y),
         T_A(Y, X) = (x - A(x-y), A*xi + (I-A*)eta, xi - eta, y - x),
 
-    over phase points X = (x, xi), Y = (y, eta).  Returns (finite, C_est)."""
+    over phase points X = (x, xi), Y = (y, eta); omega1, omega2 are 2-block
+    weights.  Returns (finite, C_est)."""
     _require_axes(SYMBOL_AXES, omega0)
+    _require_axes(TF_AXES, omega1, omega2)
     Amat = as_matrix_param(A, grid.d).entries
     return _worst(omega0._log(transfer_pair_coords(Y, X, Amat)) - omega1._log(X) - omega2._log(Y)
                   for X, Y in _tuple_chunks(grid, TF_AXES, 2))
@@ -652,6 +655,7 @@ def holds_op_weight_bound(omega0: Weight, omega1: Weight, omega2: Weight, A, gri
     under which symbols give bounded operators between weighted modulation
     spaces.  Returns (finite, C_est)."""
     _require_axes(SYMBOL_AXES, omega0)
+    _require_axes(TF_AXES, omega1, omega2)
     Amat = as_matrix_param(A, grid.d).entries
     return _worst(omega2._log(X) - omega1._log(Y) - omega0._log(transfer_pair_coords(Y, X, Amat))
                   for X, Y in _tuple_chunks(grid, TF_AXES, 2))

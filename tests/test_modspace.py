@@ -611,6 +611,22 @@ def test_weight_bound_axis_validation(grid9):
         holds_composition_weight_bound((trivial_weight(SYMBOL_AXES),), 0.0, grid9)
 
 
+@pytest.mark.parametrize("estimator", [
+    lambda w1, w2, grid: holds_kernel_weight_bound(trivial_weight(KERNEL_AXES), w1, w2, grid),
+    lambda w1, w2, grid: holds_wigner_weight_bound(trivial_weight(SYMBOL_AXES), w1, w2, 0.5, grid),
+    lambda w1, w2, grid: holds_op_weight_bound(trivial_weight(SYMBOL_AXES), w1, w2, 0.5, grid),
+], ids=["kernel", "wigner", "op"])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_weight_bounds_refuse_a_symbol_layout_omega1_or_omega2(estimator, slot):
+    # omega1 and omega2 weigh the 2-block points X and Y: a 4-block weight
+    # read the first two of its blocks there and returned a constant
+    grid = GridSpec(1, 5)
+    weights = [trivial_weight(), trivial_weight()]
+    weights[slot] = make_weight("polynomial", axes=SYMBOL_AXES, s=1.0)
+    with pytest.raises(DomainMismatch, match="expected \\('pos', 'freq'\\)"):
+        estimator(*weights, grid)
+
+
 def test_composition_weight_bound_poly(grid9):
     # decaying omega_j make the product small somewhere: constant > 1
     wdec = make_weight("polynomial", axes=SYMBOL_AXES, s=-1.0)
