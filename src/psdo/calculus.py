@@ -37,12 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SharpProductRequest:
-    """N >= 2 factors sharing one grid, a calculus parameter, and an
-    optional transfer target."""
+    """N >= 2 factors sharing one grid, and a calculus parameter."""
 
     factors: tuple
     A: object
-    B: object = None
 
     def __post_init__(self):
         if len(self.factors) < 2:

@@ -73,7 +73,7 @@ def test_sharp_request_validation(rng, grid9):
     other = Symbol.random(GridSpec(1, 5), rng)
     with pytest.raises(ArityMismatch):
         SharpProductRequest(factors=(a, other), A=0.5)
-    SharpProductRequest(factors=(a, a), A=0.5, B=0.0)
+    SharpProductRequest(factors=(a, a), A=0.5)
 
 
 @pytest.mark.parametrize("g1, g2", [
