@@ -107,7 +107,7 @@ class Context:
         key = self.name if key is None else key
         return np.random.default_rng(np.random.SeedSequence([self.seed, zlib.crc32(key.encode())]))
 
-    def grid(self, mode="real") -> GridSpec:
+    def grid(self, mode: str) -> GridSpec:
         return GridSpec(self.d, self.n, mode)
 
 

@@ -12,6 +12,7 @@ import pytest
 import psdo.verify as verify
 from psdo.cli import main
 from psdo.errors import SizeLimit
+from psdo.grid import GridSpec
 from psdo.validation import validate
 
 
@@ -103,12 +104,15 @@ def test_a_check_that_yields_nothing_fails():
 
 
 def test_each_check_draws_from_the_stream_of_its_name(monkeypatch):
-    # the runner hands each check the stream of its registered name, in threads too
-    def draw(ctx, grid, rng):
-        yield rng.random()
+    # the runner hands each check the stream of its registered name and the
+    # grid of its registered mode, in threads too
+    modes = {"first": "real", "second": "mod", "third": "real"}
 
-    names = ("first", "second", "third")
-    monkeypatch.setattr(verify, "CHECKS", [verify.CheckDef(name, "schemes", "sentinel", None, draw)
+    def draw(ctx, grid, rng):
+        yield rng.random() if grid == GridSpec(1, 9, modes[ctx.name]) else math.nan
+
+    names = tuple(modes)
+    monkeypatch.setattr(verify, "CHECKS", [verify.CheckDef(name, "schemes", "sentinel", None, draw, modes[name])
                                            for name in names])
     want = [np.random.default_rng(np.random.SeedSequence([7, zlib.crc32(name.encode())])).random()
             for name in names]
